@@ -309,37 +309,6 @@ BENCHMARK(BM_KernelParallelMesh128)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * BM_KernelParallelBatch128 isolates what multi-cycle barrier
- * batching buys on deep wires: linkDelay 3 widens the safe lookahead
- * to 4 cycles, and the Args({jobs, batch}) members run the parallel
- * kernel at 4 intra-jobs under batch caps 1 / 2 / 4 against the
- * Args({0, 0}) active-kernel reference on the same physics. Gated by
- * check_perf.py on the parallel/active ratio per member, so the
- * barrier amortization cannot silently erode; batch 1 doubles as the
- * barrier-every-cycle worst case.
- */
-void
-BM_KernelParallelBatch128(benchmark::State& state)
-{
-    SimConfig cfg = parallelBenchConfig(
-        128, static_cast<unsigned>(state.range(0)));
-    cfg.linkDelay = 3;
-    cfg.maxBatchCycles = static_cast<Cycle>(state.range(1));
-    Simulation sim(cfg);
-    sim.stepCycles(500); // warm the network up
-    for (auto _ : state)
-        sim.stepCycles(48);
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * 48 * sim.topology().numNodes()));
-}
-BENCHMARK(BM_KernelParallelBatch128)
-    ->Args({0, 0}) // active-kernel reference
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Unit(benchmark::kMillisecond);
-
-/**
  * The BM_Router* cases isolate the router hot path in the saturated
  * regime — the regime that dominates every load sweep past the knee —
  * on a fully pinned configuration (independent of SimConfig defaults),

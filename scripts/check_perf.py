@@ -36,13 +36,12 @@ import sys
 ACTIVE_ARG = "/1"  # KernelKind::Active
 SCAN_ARG = "/2"    # KernelKind::Scan
 
-# The BM_KernelParallel* cases use a different arg encoding: an
-# all-zero-args member (/0, or /0/0 for two-arg families such as the
-# batched Args({jobs, batch}) cases) is the active-kernel reference,
-# every other member the parallel kernel at those args. A case family
-# with such a reference is gated on the parallel/active ratio of each
-# member instead of active/scan.
-PARALLEL_REF_SUFFIXES = ("/0", "/0/0")
+# The BM_KernelParallel* cases use a different arg encoding: the /0
+# member is the active-kernel reference, every other member the
+# parallel kernel at that intra-job count. A case family with such a
+# reference is gated on the parallel/active ratio of each member
+# instead of active/scan.
+PARALLEL_REF_ARG = "/0"
 
 
 def load_ratios(path):
@@ -53,9 +52,8 @@ def load_ratios(path):
     shared runners); otherwise the single iteration row.
 
     Families are grouped by the bare case name (everything before the
-    first '/'), so benchmarks with any number of args — including the
-    two-arg Args({jobs, batch}) batched-kernel cases — land in the
-    same family as their reference member.
+    first '/'), so every member lands in the same family as its
+    reference.
     """
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -74,12 +72,8 @@ def load_ratios(path):
         families.setdefault(name.split("/")[0], {})[name] = rate
     ratios = {}
     for case, members in sorted(families.items()):
-        ref_name = next(
-            (case + suffix for suffix in PARALLEL_REF_SUFFIXES
-             if case + suffix in members),
-            None,
-        )
-        if ref_name is not None:
+        ref_name = case + PARALLEL_REF_ARG
+        if ref_name in members:
             # Parallel family: every non-reference member is gated on
             # its speedup over the active-kernel reference.
             for name, rate in sorted(members.items()):

@@ -166,15 +166,8 @@ struct SimConfig
     unsigned intraJobs = 0;
 
     /** Link traversal delay in cycles (Table 2 uses 1). Raising it
-     *  deepens wires and widens the parallel kernel's safe batching
-     *  lookahead (linkDelay + 1 cycles). */
+     *  deepens every wire. */
     Cycle linkDelay = 1;
-
-    /** Parallel-kernel barrier batch cap (--max-batch); 0 = auto
-     *  (LAPSES_MAX_BATCH, else linkDelay + 1), clamped to
-     *  [1, linkDelay + 1]. 1 restores a barrier every cycle. Never
-     *  changes results — only how often the shards rejoin. */
-    Cycle maxBatchCycles = 0;
 
     /** The resolved topology spec: mesh kinds reflect the torus
      *  flag, other kinds pass through. */

@@ -9,10 +9,10 @@ namespace
 
 /** Cycles between phase-predicate evaluations inside a saturation
  *  window. Every kernel steps to the same quantum boundaries (the
- *  quantum is the stepUntil horizon, so a parallel-kernel batch never
+ *  quantum is the stepUntil horizon, so an idle fast-forward never
  *  crosses one), which makes phase transitions — measure start/end,
  *  drain end — land on identical cycles and keeps the results
- *  byte-identical across kernels, shard counts and batch caps. */
+ *  byte-identical across kernels and shard counts. */
 constexpr Cycle kPhaseQuantum = 8;
 
 int
@@ -113,7 +113,6 @@ Simulation::Simulation(const SimConfig& cfg)
     np.kernel = cfg_.kernel;
     np.intraJobs = cfg_.intraJobs;
     np.linkDelay = cfg_.linkDelay;
-    np.maxBatch = cfg_.maxBatchCycles;
     np.telemetryWindow = cfg_.telemetryWindow;
     np.faults = std::move(faults);
     np.reconfigLatency = cfg_.reconfigLatency;

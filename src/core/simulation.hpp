@@ -128,8 +128,8 @@ class Simulation
     /** Fold lanes_ and tallies_ into stats_ (idempotent: recomputes
      *  from scratch). Accumulators merge over a fixed-shape pairwise
      *  tree whose shape depends only on the node count, so the merged
-     *  floating-point values are byte-identical for every kernel,
-     *  shard count and batch size. */
+     *  floating-point values are byte-identical for every kernel
+     *  and shard count. */
     void reduceStats();
 
     /** The warm-up / measure / drain phases (body of run()). */

@@ -95,43 +95,15 @@ resolveIntraJobs(unsigned requested)
     return std::min(jobs, MessagePool::kMaxBanks);
 }
 
-Cycle
-resolveMaxBatchCycles(Cycle requested, Cycle linkDelay)
-{
-    Cycle cap = requested;
-    if (cap == 0) {
-        const char* env = std::getenv("LAPSES_MAX_BATCH");
-        if (env != nullptr && *env != '\0') {
-            char* end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || v < 1) {
-                throw ConfigError("bad LAPSES_MAX_BATCH value '" +
-                                  std::string(env) +
-                                  "' (want a positive integer)");
-            }
-            cap = static_cast<Cycle>(v);
-        }
-    }
-    if (cap == 0)
-        cap = linkDelay + 1;
-    // Events emitted at shard-local cycle t are due t + linkDelay + 1,
-    // so a batch of linkDelay + 1 cycles can never consume anything
-    // produced inside itself — the largest provably safe window.
-    return std::min(cap, linkDelay + 1);
-}
-
 thread_local Network::Shard* Network::tls_shard_ = nullptr;
 
 void
 Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
                             const Flit& flit)
 {
-    // The shard-local clock, not now_: mid-batch the sender may be
-    // ahead of the global cycle, and its emissions must land relative
-    // to its own time axis.
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, out_port);
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = net.now_ + 1 + net.params_.linkDelay;
     net.flit_wires_[w].push({flit, out_vc, due});
     net.scheduleWire(*sh_, net.flitWireKey(id_, out_port), due,
                      net.boundary_wire_[w] != 0);
@@ -142,7 +114,7 @@ Network::RouterEnv::creditOut(PortId in_port, VcId vc)
 {
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, in_port);
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = net.now_ + 1 + net.params_.linkDelay;
     net.credit_wires_[w].push({vc, due});
     net.scheduleWire(*sh_, net.creditWireKey(id_, in_port), due,
                      net.boundary_wire_[w] != 0);
@@ -164,7 +136,7 @@ void
 Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
 {
     Network& net = *net_;
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = net.now_ + 1 + net.params_.linkDelay;
     net.inject_wires_[static_cast<std::size_t>(id_)].push(
         {flit, vc, due});
     // Injection wires deliver to the sender's own router: always
@@ -368,17 +340,13 @@ Network::buildShards()
             }
         }
     }
-    // Rebind the env adapters to their owning shards: emissions read
-    // the shard-local clock and calendar cursor.
+    // Bind the env adapters to their owning shards: emissions land in
+    // the sender shard's calendar.
     for (NodeId id = 0; id < n; ++id) {
         Shard* sh = &shards_[shard_of_[static_cast<std::size_t>(id)]];
         router_envs_[static_cast<std::size_t>(id)].setShard(sh);
         nic_envs_[static_cast<std::size_t>(id)].setShard(sh);
     }
-    batch_cap_ = kernel_ == KernelKind::Parallel
-                     ? resolveMaxBatchCycles(params_.maxBatch,
-                                             params_.linkDelay)
-                     : 1;
     // Workers for shards 1..S-1; the caller thread steps shard 0.
     // The pool is per-network, so campaign workers that each own a
     // parallel network can never deadlock on a shared pool.
@@ -425,9 +393,9 @@ Network::scheduleWire(Shard& sh, std::int32_t key, Cycle due,
     // + 1 and each shard calendar has linkDelay + 2 slots, so due %
     // width is always the slot just behind the sender's — no division
     // needed. The sender's shard owns the entry; during stepping only
-    // the owning thread pushes here, against its own local cursor.
+    // the owning thread pushes here.
     const std::size_t slot =
-        sh.slot == 0 ? sh.calendar.size() - 1 : sh.slot - 1;
+        now_slot_ == 0 ? sh.calendar.size() - 1 : now_slot_ - 1;
     CalendarBucket& bucket = sh.calendar[slot];
     bucket.due = due;
     (boundary ? bucket.boundary_keys : bucket.keys).push_back(key);
@@ -503,11 +471,11 @@ Network::nextEventCycle()
 
 void
 Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
-                         const WireFlit& wf, Cycle at)
+                         const WireFlit& wf)
 {
     if (p == kLocalPort) {
         if (tracer_ != nullptr) {
-            tracer_->record({at, TraceEvent::Kind::Eject, id,
+            tracer_->record({now_, TraceEvent::Kind::Eject, id,
                              kInvalidPort, pool_[wf.flit.msg].id,
                              wf.flit.seq, wf.flit.type,
                              pool_[wf.flit.msg].role,
@@ -518,7 +486,7 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
         // the barrier merge folds the delta into occupancy_.
         ++sh.ejected_flits;
         Nic& nic = nics_[static_cast<std::size_t>(id)];
-        nic.acceptFlit(wf.flit, at, *this);
+        nic.acceptFlit(wf.flit, now_, *this);
         // A delivered request/reply arms new engine work (a service
         // completion, a freed window slot) the NIC's recorded wake
         // cannot know about — re-activate so it is stepped this very
@@ -531,23 +499,22 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
     const NodeId peer = topo_.neighbor(id, p);
     LAPSES_ASSERT(peer != kInvalidNode);
     if (tracer_ != nullptr) {
-        tracer_->record({at, TraceEvent::Kind::HopArrive, peer,
+        tracer_->record({now_, TraceEvent::Kind::HopArrive, peer,
                          topo_.peerPort(id, p),
                          pool_[wf.flit.msg].id, wf.flit.seq,
                          wf.flit.type});
     }
     routers_[static_cast<std::size_t>(peer)].acceptFlit(
-        topo_.peerPort(id, p), wf.vc, wf.flit, at);
+        topo_.peerPort(id, p), wf.vc, wf.flit, now_);
     if (kernel_ != KernelKind::Scan)
         activateRouter(peer);
 }
 
 void
 Network::deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc, Cycle at)
+                           const WireCredit& wc)
 {
     (void)sh;
-    (void)at;
     if (p == kLocalPort) {
         nics_[static_cast<std::size_t>(id)].acceptCredit(wc.vc);
         if (kernel_ != KernelKind::Scan)
@@ -563,82 +530,79 @@ Network::deliverCreditWire(Shard& sh, NodeId id, PortId p,
 }
 
 void
-Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
-                           Cycle at)
+Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf)
 {
     (void)sh;
     if (tracer_ != nullptr) {
-        tracer_->record({at, TraceEvent::Kind::Inject, id,
+        tracer_->record({now_, TraceEvent::Kind::Inject, id,
                          kLocalPort, pool_[wf.flit.msg].id,
                          wf.flit.seq, wf.flit.type,
                          pool_[wf.flit.msg].role,
                          pool_[wf.flit.msg].attempt});
     }
     routers_[static_cast<std::size_t>(id)].acceptFlit(
-        kLocalPort, wf.vc, wf.flit, at);
+        kLocalPort, wf.vc, wf.flit, now_);
     if (kernel_ != KernelKind::Scan)
         activateRouter(id);
 }
 
 void
-Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end,
-                           Cycle at)
+Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end)
 {
-    // Worker-safe even mid-batch: boundary wires of these senders can
-    // hold no event due <= the shard's local cycle (the coordinator
-    // drained everything due at the batch start, and batchCycles caps
-    // the batch short of any later boundary due), so the due check
-    // skips them and only intra-shard events pop.
+    // Worker-safe: the coordinator drained every boundary event due
+    // this cycle before the fan-out, so on these senders' boundary
+    // wires the due check finds nothing and only intra-shard events
+    // pop.
     const int ports = topo_.numPorts();
     for (NodeId id = begin; id < end; ++id) {
         // Router output wires -> neighbor router input / local NIC.
         for (PortId p = 0; p < ports; ++p) {
             auto& fw = flit_wires_[wireIndex(id, p)];
-            while (!fw.empty() && fw.front().due <= at) {
+            while (!fw.empty() && fw.front().due <= now_) {
                 ++sh.counters.wireEventsDelivered;
-                deliverFlitWire(sh, id, p, fw.pop(), at);
+                deliverFlitWire(sh, id, p, fw.pop());
             }
             // Credit wires from (router id, in port p) upstream.
             auto& cw = credit_wires_[wireIndex(id, p)];
-            while (!cw.empty() && cw.front().due <= at) {
+            while (!cw.empty() && cw.front().due <= now_) {
                 ++sh.counters.wireEventsDelivered;
-                deliverCreditWire(sh, id, p, cw.pop(), at);
+                deliverCreditWire(sh, id, p, cw.pop());
             }
         }
         // NIC injection wires -> router local input port.
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
-        while (!iw.empty() && iw.front().due <= at) {
+        while (!iw.empty() && iw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop(), at);
+            deliverInjectWire(sh, id, iw.pop());
         }
     }
 }
 
 void
-Network::deliverKey(Shard& sh, std::int32_t key, Cycle at)
+Network::deliverKey(Shard& sh, std::int32_t key)
 {
     const std::int32_t inject_slot = key_stride_ - 1;
     const auto id = static_cast<NodeId>(key / key_stride_);
     const std::int32_t slot = key % key_stride_;
     if (slot == inject_slot) {
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
-        while (!iw.empty() && iw.front().due <= at) {
+        while (!iw.empty() && iw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop(), at);
+            deliverInjectWire(sh, id, iw.pop());
         }
     } else if (slot % 2 == 0) {
         const auto p = static_cast<PortId>(slot / 2);
         auto& fw = flit_wires_[wireIndex(id, p)];
-        while (!fw.empty() && fw.front().due <= at) {
+        while (!fw.empty() && fw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverFlitWire(sh, id, p, fw.pop(), at);
+            deliverFlitWire(sh, id, p, fw.pop());
         }
     } else {
         const auto p = static_cast<PortId>(slot / 2);
         auto& cw = credit_wires_[wireIndex(id, p)];
-        while (!cw.empty() && cw.front().due <= at) {
+        while (!cw.empty() && cw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverCreditWire(sh, id, p, cw.pop(), at);
+            deliverCreditWire(sh, id, p, cw.pop());
         }
     }
 }
@@ -646,12 +610,17 @@ Network::deliverKey(Shard& sh, std::int32_t key, Cycle at)
 void
 Network::drainShardIntra(Shard& sh)
 {
-    CalendarBucket& bucket = sh.calendar[sh.slot];
+    CalendarBucket& bucket = sh.calendar[now_slot_];
     if (bucket.keys.empty())
         return;
-    LAPSES_ASSERT(bucket.due == sh.now);
+    LAPSES_ASSERT(bucket.due == now_);
+    // With one shard this is the whole wire-delivery phase; with
+    // several it overlaps other shards' work, so it gets its own
+    // (CPU-summed) phase. Either way it is booked exactly once.
     ScopedPhaseTimer timer(profiling_,
-                           sh.profile.intraDeliverySeconds);
+                           shards_.size() == 1
+                               ? sh.profile.wireDrainSeconds
+                               : sh.profile.intraDeliverySeconds);
     if (bucket.keys.size() >=
         static_cast<std::size_t>(sh.end - sh.begin)) {
         // Saturated regime: most of the shard's wires carry traffic,
@@ -661,7 +630,7 @@ Network::drainShardIntra(Shard& sh)
         // flight is due later, and other shards' events live in their
         // own calendars.
         bucket.keys.clear();
-        deliverWiresRange(sh, sh.begin, sh.end, sh.now);
+        deliverWiresRange(sh, sh.begin, sh.end);
         return;
     }
     // Ascending wire-key order = the scan kernel's delivery order
@@ -674,7 +643,7 @@ Network::drainShardIntra(Shard& sh)
         if (key == prev_key)
             continue; // several same-cycle events on one wire
         prev_key = key;
-        deliverKey(sh, key, sh.now);
+        deliverKey(sh, key);
     }
     bucket.keys.clear();
 }
@@ -699,7 +668,7 @@ Network::drainShardBoundary(Shard& sh)
         if (key == prev_key)
             continue;
         prev_key = key;
-        deliverKey(sh, key, now_);
+        deliverKey(sh, key);
     }
     bucket.boundary_keys.clear();
 }
@@ -709,9 +678,7 @@ Network::drainShardSerial(Shard& sh)
 {
     // Tracer runs only: a shared trace stream cannot take concurrent
     // writers, so the whole bucket — intra and boundary merged back
-    // together — drains on the coordinator in global canonical order,
-    // exactly like the pre-batching parallel kernel. batchCycles
-    // forces 1-cycle batches while a tracer is attached.
+    // together — drains on the coordinator in global canonical order.
     CalendarBucket& bucket = sh.calendar[now_slot_];
     if (bucket.keys.empty() && bucket.boundary_keys.empty())
         return;
@@ -726,7 +693,7 @@ Network::drainShardSerial(Shard& sh)
         if (key == prev_key)
             continue;
         prev_key = key;
-        deliverKey(sh, key, now_);
+        deliverKey(sh, key);
     }
     bucket.keys.clear();
 }
@@ -736,7 +703,7 @@ Network::stepScan()
 {
     {
         ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        deliverWiresRange(shards_[0], 0, topo_.numNodes(), now_);
+        deliverWiresRange(shards_[0], 0, topo_.numNodes());
     }
     const auto n = static_cast<std::size_t>(topo_.numNodes());
     counters_.nicSteps += n;
@@ -759,26 +726,14 @@ Network::stepScan()
             progress_flits_ += act.progressed;
         }
     }
-    mergeShardCycleState();
-    processPendingUnroutable();
-    ++now_;
-    if (++now_slot_ == shards_[0].calendar.size())
-        now_slot_ = 0;
-    // The scan kernel never batches; keep the (single) shard clock in
-    // lockstep so the env adapters read the right sender cycle.
-    shards_[0].now = now_;
-    shards_[0].slot = now_slot_;
 }
 
 void
 Network::stepShardComponents(Shard& sh)
 {
-    // Everything below runs against the shard-local clock: under a
-    // multi-cycle batch sh.now walks ahead of the global now_ until
-    // the barrier re-syncs them.
     // 1. Wake own NICs whose injection process has an event due.
     while (!sh.nic_wakes.empty() &&
-           sh.nic_wakes.top().first <= sh.now) {
+           sh.nic_wakes.top().first <= now_) {
         const auto [cycle, id] = sh.nic_wakes.top();
         sh.nic_wakes.pop();
         if (nic_active_[static_cast<std::size_t>(id)] == 0 &&
@@ -796,9 +751,9 @@ Network::stepShardComponents(Shard& sh)
         for (const NodeId id : sh.active_nics) {
             const StepActivity act =
                 nics_[static_cast<std::size_t>(id)].step(
-                    sh.now, nic_envs_[static_cast<std::size_t>(id)]);
+                    now_, nic_envs_[static_cast<std::size_t>(id)]);
             sh.progress_flits += act.progressed;
-            if (act.pendingWork || act.nextWake == sh.now + 1) {
+            if (act.pendingWork || act.nextWake == now_ + 1) {
                 // Still has backlog — or must step again next cycle
                 // anyway (e.g. a Bernoulli process draws every cycle):
                 // staying in the set skips a pointless heap round-trip.
@@ -824,8 +779,7 @@ Network::stepShardComponents(Shard& sh)
         for (const NodeId id : sh.active_routers) {
             const StepActivity act =
                 routers_[static_cast<std::size_t>(id)].step(
-                    sh.now,
-                    router_envs_[static_cast<std::size_t>(id)]);
+                    now_, router_envs_[static_cast<std::size_t>(id)]);
             sh.progress_flits += act.progressed;
             if (act.pendingWork)
                 sh.scratch_routers.push_back(id);
@@ -861,99 +815,64 @@ Network::mergeShardCycleState()
 }
 
 void
-Network::stepShardCycles(Shard& sh, Cycle cycles)
+Network::stepShardCycle(Shard& sh)
 {
     // Route this thread's delivery side effects (delivered counters,
     // the stats hook, descriptor releases) into the shard's own
-    // deltas for the duration of the batch.
+    // deltas for the duration of the cycle.
     struct TlsGuard
     {
         ~TlsGuard() { tls_shard_ = nullptr; }
     } guard;
     (void)guard;
     tls_shard_ = &sh;
-    for (Cycle c = 0; c < cycles; ++c) {
-        // Intra-shard deliveries first (receivers join the active
-        // set), then the component slice — the same phase order every
-        // kernel uses. Under the tracer fallback the coordinator
-        // already drained the whole bucket, so this is a no-op.
-        drainShardIntra(sh);
-        stepShardComponents(sh);
-        ++sh.now;
-        if (++sh.slot == sh.calendar.size())
-            sh.slot = 0;
-    }
-}
-
-void
-Network::stepActive()
-{
-    Shard& sh = shards_[0];
-
-    // Deliver due wire traffic; receivers join the active set. (Wake
-    // processing runs inside stepShardComponents, after delivery —
-    // activation is idempotent and stepping order is unobservable, so
-    // the phase order matches the parallel kernel exactly.) With a
-    // single shard every event is intra-shard, and the coordinator is
-    // the owning thread; deliveries run with no shard bound, so the
-    // delivered counters update directly as before.
-    {
-        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        drainShardIntra(sh);
-    }
-
+    // Intra-shard deliveries first (receivers join the active set),
+    // then the component slice — the same phase order every kernel
+    // uses. Under the tracer fallback the coordinator already drained
+    // the whole bucket, so the drain is a no-op.
+    drainShardIntra(sh);
     stepShardComponents(sh);
-
-    mergeShardCycleState();
-    processPendingUnroutable();
-    ++now_;
-    if (++now_slot_ == sh.calendar.size())
-        now_slot_ = 0;
-    sh.now = now_;
-    sh.slot = now_slot_;
 }
 
 void
-Network::stepParallel(Cycle cycles)
+Network::stepSharded()
 {
     // Coordinator boundary drain: shard calendars visited in shard
     // order reproduce the global canonical order restricted to
     // boundary-crossing events. Everything else — intra-shard
     // deliveries, stats hooks, descriptor releases — happens on the
-    // owning shard's thread inside stepShardCycles. With a tracer
+    // owning shard's thread inside stepShardCycle. With a tracer
     // attached the whole bucket drains here instead (serial
-    // fallback), preserving the single-writer trace stream.
-    const bool serial = tracer_ != nullptr;
-    {
+    // fallback), preserving the single-writer trace stream. A single
+    // shard has no boundary wires, so it skips the phase.
+    if (tracer_ != nullptr) {
+        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
+        for (Shard& sh : shards_)
+            drainShardSerial(sh);
+    } else if (shards_.size() > 1) {
         ScopedPhaseTimer timer(profiling_,
-                               serial ? profile_.wireDrainSeconds
-                                      : profile_.boundaryDrainSeconds);
-        for (Shard& sh : shards_) {
-            if (serial)
-                drainShardSerial(sh);
-            else
-                drainShardBoundary(sh);
-        }
+                               profile_.boundaryDrainSeconds);
+        for (Shard& sh : shards_)
+            drainShardBoundary(sh);
     }
 
-    // Parallel stepping: one shard per thread, shard 0 on the
+    // Shard stepping: one shard per thread, shard 0 on the
     // coordinator. Conservative lookahead — everything a shard emits
-    // at local cycle t is due t + linkDelay + 1 — plus the batch caps
-    // (batchCycles) means no stepping thread can ever consume another
-    // shard's output inside the batch, so the only synchronization is
-    // the join barrier itself.
+    // at cycle t is due t + linkDelay + 1 — means no stepping thread
+    // can consume another shard's output within the cycle, so the
+    // only synchronization is the join barrier itself.
     if (intra_pool_ == nullptr) {
         for (Shard& sh : shards_)
-            stepShardCycles(sh, cycles);
+            stepShardCycle(sh);
     } else {
         {
             const std::lock_guard<std::mutex> lock(barrier_mutex_);
             barrier_pending_ = shards_.size() - 1;
         }
         for (std::size_t s = 1; s < shards_.size(); ++s) {
-            intra_pool_->post([this, s, cycles] {
+            intra_pool_->post([this, s] {
                 try {
-                    stepShardCycles(shards_[s], cycles);
+                    stepShardCycle(shards_[s]);
                 } catch (...) {
                     shard_errors_[s] = std::current_exception();
                 }
@@ -964,7 +883,7 @@ Network::stepParallel(Cycle cycles)
             });
         }
         try {
-            stepShardCycles(shards_[0], cycles);
+            stepShardCycle(shards_[0]);
         } catch (...) {
             shard_errors_[0] = std::current_exception();
         }
@@ -987,47 +906,6 @@ Network::stepParallel(Cycle cycles)
             }
         }
     }
-
-    mergeShardCycleState();
-    processPendingUnroutable();
-    now_ += cycles;
-    now_slot_ = (now_slot_ + static_cast<std::size_t>(cycles)) %
-                shards_[0].calendar.size();
-}
-
-Cycle
-Network::batchCycles(Cycle horizon) const
-{
-    Cycle k = std::min<Cycle>(horizon - now_, batch_cap_);
-    if (k <= 1)
-        return 1;
-    // Serial-delivery fallback (tracer) needs the coordinator between
-    // every cycle; fault epochs need per-cycle purge processing.
-    if (tracer_ != nullptr || !failures_.empty())
-        return 1;
-    // Fault events, reconfigurations and telemetry windows run at the
-    // fixed top of a cycle on the coordinator — the batch must end
-    // exactly at the next such boundary. topOfCycle() already applied
-    // everything due at now_, so these cursors point strictly ahead.
-    if (next_fault_ < fault_events_.size())
-        k = std::min(k, fault_events_[next_fault_].cycle - now_);
-    if (next_reconfig_ < reconfig_due_.size())
-        k = std::min(k, reconfig_due_[next_reconfig_] - now_);
-    if (next_telemetry_at_ != kNeverCycle)
-        k = std::min(k, next_telemetry_at_ - now_);
-    if (k <= 1)
-        return 1;
-    // A boundary-crossing event due mid-batch needs the coordinator's
-    // merge at exactly its cycle: end the batch there. Events due now_
-    // are about to be drained; events emitted inside the batch are due
-    // >= now_ + linkDelay + 1 >= now_ + k, after the batch.
-    for (const Shard& sh : shards_) {
-        for (const CalendarBucket& bucket : sh.calendar) {
-            if (!bucket.boundary_keys.empty() && bucket.due > now_)
-                k = std::min(k, bucket.due - now_);
-        }
-    }
-    return std::max<Cycle>(k, 1);
 }
 
 void
@@ -1289,7 +1167,7 @@ Network::processPendingUnroutable()
 }
 
 void
-Network::topOfCycle()
+Network::step()
 {
     if (next_fault_ < fault_events_.size() ||
         next_reconfig_ < reconfig_due_.size()) {
@@ -1299,22 +1177,19 @@ Network::topOfCycle()
     if (now_ == next_telemetry_at_) {
         // Fixed snapshot point, like fault events: before any wire
         // delivery or component stepping of this cycle, so the window
-        // [now - W, now) is complete and identical under both kernels.
+        // [now - W, now) is complete and identical under every kernel.
         ScopedPhaseTimer timer(profiling_, profile_.telemetrySeconds);
         captureTelemetryWindow();
     }
-}
-
-void
-Network::step()
-{
-    topOfCycle();
     if (kernel_ == KernelKind::Scan)
         stepScan();
-    else if (kernel_ == KernelKind::Parallel)
-        stepParallel(1);
     else
-        stepActive();
+        stepSharded();
+    mergeShardCycleState();
+    processPendingUnroutable();
+    ++now_;
+    if (++now_slot_ == shards_[0].calendar.size())
+        now_slot_ = 0;
 }
 
 Cycle
@@ -1335,22 +1210,8 @@ Network::stepUntil(Cycle horizon)
             counters_.fastForwardedCycles += advanced;
             now_ = target;
             now_slot_ = now_ % shards_[0].calendar.size();
-            for (Shard& sh : shards_) {
-                sh.now = now_;
-                sh.slot = now_slot_;
-            }
             return advanced;
         }
-    }
-    if (kernel_ == KernelKind::Parallel && batch_cap_ > 1) {
-        // Multi-cycle batching: run the fixed top-of-cycle work, then
-        // let the shards step as many cycles as the lookahead allows
-        // before the next barrier. Callers see the same contract —
-        // at least one cycle, never past the horizon.
-        topOfCycle();
-        const Cycle batch = batchCycles(horizon);
-        stepParallel(batch);
-        return batch;
     }
     step();
     return 1;

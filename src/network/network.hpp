@@ -7,25 +7,25 @@
  * emits at cycle t arrives at its peer at t + linkDelay, so the order in
  * which routers step within a cycle cannot matter.
  *
- * Three simulation kernels share this interface (see DESIGN.md):
+ * One event-driven stepping path runs the network, plus a scan oracle
+ * (see DESIGN.md):
  *
- *  - KernelKind::Active (default): per-cycle work is O(active
- *    components + due wire events). Wire traffic sits in a calendar
- *    queue bucketed by due cycle, only routers/NICs with pending work
- *    are stepped, and when nothing is active the clock fast-forwards to
- *    the next wire event or injection-process wake.
- *  - KernelKind::Scan: the original path that steps every component and
- *    scans every wire each cycle, kept for differential testing
- *    (LAPSES_KERNEL=scan).
- *  - KernelKind::Parallel: the active kernel's bookkeeping partitioned
- *    into spatial shards (contiguous node ranges). Wire events are
+ *  - The sharded path partitions the nodes into spatial shards
+ *    (contiguous node ranges). Per-cycle work is O(active components +
+ *    due wire events): wire traffic sits in per-shard calendar queues
+ *    bucketed by due cycle, only routers/NICs with pending work are
+ *    stepped, and when nothing is active the clock fast-forwards to the
+ *    next wire event or injection-process wake. Wire events are
  *    classified at schedule time: intra-shard events are delivered by
- *    the owning shard's worker at the top of its stepping slice, while
- *    only boundary-crossing events go through the coordinator's
- *    canonical merge. When lookahead allows (no fault, telemetry or
- *    pending boundary event inside the window) shards run up to
- *    linkDelay + 1 cycles between barriers (DESIGN.md "Parallel
- *    kernel" spells out both contracts).
+ *    the owning shard at the top of its stepping slice, while only
+ *    boundary-crossing events go through the coordinator's canonical
+ *    merge, and every cycle ends at a barrier.
+ *    KernelKind::Active (default) runs it as one shard on the calling
+ *    thread; KernelKind::Parallel runs one shard per intra-run worker
+ *    (DESIGN.md "Parallel kernel" spells out the contracts).
+ *  - KernelKind::Scan: the original path that steps every component and
+ *    scans every wire each cycle, kept as the differential oracle
+ *    (LAPSES_KERNEL=scan).
  *
  * All kernels produce byte-identical statistics: wire events are
  * delivered in the same (node, port, wire-kind) order the scan uses
@@ -71,15 +71,6 @@ KernelKind resolveKernelKind(KernelKind requested);
  *  ConfigError. Capped at MessagePool::kMaxBanks. */
 unsigned resolveIntraJobs(unsigned requested);
 
-/** Resolve the parallel kernel's barrier batch cap: an explicit
- *  request (> 0) wins, else LAPSES_MAX_BATCH, else the conservative
- *  lookahead linkDelay + 1. The result is always clamped to
- *  [1, linkDelay + 1] — events emitted inside a batch are due at
- *  least linkDelay + 1 cycles after the batch starts, so no larger
- *  batch can ever be safe. A bad environment value throws
- *  ConfigError. */
-Cycle resolveMaxBatchCycles(Cycle requested, Cycle linkDelay);
-
 /** Network-level construction parameters. */
 struct NetworkParams
 {
@@ -103,13 +94,6 @@ struct NetworkParams
      * shards that never hold active components. Empty = balanced.
      */
     std::vector<NodeId> shardBoundaries;
-
-    /** Parallel-kernel barrier batch cap in cycles; 0 = auto
-     *  (LAPSES_MAX_BATCH, else linkDelay + 1). Clamped to
-     *  [1, linkDelay + 1]; 1 restores a barrier every cycle. Like
-     *  intraJobs the value never affects results — batching only
-     *  changes how often the shards rejoin. */
-    Cycle maxBatch = 0;
 
     // --- Dynamic link faults (DESIGN.md "Fault events") -----------
     /** Validated schedule of mid-run link down/up events. */
@@ -254,9 +238,6 @@ class Network : public DeliverySink
     {
         return shard_of_[static_cast<std::size_t>(id)];
     }
-
-    /** The resolved barrier batch cap (1 unless Parallel batching). */
-    Cycle batchCap() const { return batch_cap_; }
 
     /** Work counters for perf tests and benches: the coordinator's
      *  delivery/fast-forward counts merged with every shard's step
@@ -481,10 +462,8 @@ class Network : public DeliverySink
         Cycle due;
     };
 
-    /** Adapter giving each router its link endpoints. The bound shard
-     *  supplies the sender-local clock and calendar cursor, so an
-     *  emission lands in the right bucket even mid-batch when shards'
-     *  local cycles differ. */
+    /** Adapter giving each router its link endpoints; emissions are
+     *  scheduled on the calendar of the bound (owning) shard. */
     class RouterEnv : public Router::Env
     {
       public:
@@ -620,19 +599,12 @@ class Network : public DeliverySink
          *  subtracted from occupancy_ at the barrier. */
         std::size_t ejected_flits = 0;
 
-        /** Shard-local clock and calendar cursor. Between barriers a
-         *  shard's local cycle may run ahead of the global now_ by up
-         *  to batchCap - 1; the sequential phases see them re-synced
-         *  (sh.now == now_) on both sides of every batch. */
-        Cycle now = 0;
-        std::size_t slot = 0;
-
-        /** Deliveries completed by this shard's worker this batch;
+        /** Deliveries completed by this shard's worker this cycle;
          *  folded into the global delivered counters at the barrier. */
         std::uint64_t delivered_total = 0;
         std::uint64_t delivered_measured = 0;
 
-        /** Descriptors of messages delivered this batch, released by
+        /** Descriptors of messages delivered this cycle, released by
          *  the coordinator at the barrier (MessagePool frees are
          *  sequential-phase only). */
         std::vector<MsgRef> pending_release;
@@ -658,9 +630,7 @@ class Network : public DeliverySink
 
     /** Register a pushed wire event with the sender's shard calendar,
      *  pre-classified as intra-shard or boundary-crossing (the env
-     *  adapters read boundary_wire_; no division on the hot path).
-     *  The slot is derived from the shard-local cursor, so emissions
-     *  mid-batch land correctly while shards' clocks differ. */
+     *  adapters read boundary_wire_; no division on the hot path). */
     void scheduleWire(Shard& sh, std::int32_t key, Cycle due,
                       bool boundary);
 
@@ -682,31 +652,27 @@ class Network : public DeliverySink
      *  and pool banks) at construction. */
     void buildShards();
 
-    // Shared per-event delivery (tracer + hand-off + activation).
-    // `at` is the delivering domain's current cycle: the sender
-    // shard's local clock for intra-shard events, the global now_ for
-    // boundary events and scan sweeps. Side effects are charged to
-    // `sh` (the sender's shard), never to shared state.
+    // Shared per-event delivery (tracer + hand-off + activation) at
+    // cycle now_. Side effects are charged to `sh` (the sender's
+    // shard), never to shared state.
     void deliverFlitWire(Shard& sh, NodeId id, PortId p,
-                         const WireFlit& wf, Cycle at);
+                         const WireFlit& wf);
     void deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc, Cycle at);
-    void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
-                           Cycle at);
+                           const WireCredit& wc);
+    void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf);
 
-    /** Deliver all wire traffic due at `at` from senders in
-     *  [begin, end), in canonical order (scan sweep). */
-    void deliverWiresRange(Shard& sh, NodeId begin, NodeId end,
-                           Cycle at);
+    /** Deliver all wire traffic due now from senders in [begin, end),
+     *  in canonical order (scan sweep). */
+    void deliverWiresRange(Shard& sh, NodeId begin, NodeId end);
 
     /** Deliver one calendar key's due events (flit/credit/inject
      *  dispatch shared by every bucket walk). */
-    void deliverKey(Shard& sh, std::int32_t key, Cycle at);
+    void deliverKey(Shard& sh, std::int32_t key);
 
     /** Deliver a shard's due intra-shard events, in canonical order
      *  within the shard: the sorted-bucket walk when sparse, the range
      *  sweep when the bucket saturates its shard. Runs on the shard's
-     *  own stepping thread (or inline under the active kernel). */
+     *  own stepping thread (the caller's, for shard 0). */
     void drainShardIntra(Shard& sh);
 
     /** Deliver a shard's due boundary-crossing events. Coordinator
@@ -716,43 +682,31 @@ class Network : public DeliverySink
 
     /** Tracer fallback: deliver a shard's full due bucket (intra and
      *  boundary merged back into global canonical order) on the
-     *  coordinator, exactly like the pre-batching kernel — a shared
-     *  tracer stream cannot be written from worker threads. */
+     *  coordinator — a shared tracer stream cannot be written from
+     *  worker threads. */
     void drainShardSerial(Shard& sh);
 
+    /** One cycle's delivery and stepping, before step() merges the
+     *  shard deltas and advances the clock. stepScan sweeps every wire
+     *  and component; stepSharded (Active and Parallel) runs the
+     *  coordinator boundary drain, then stepShardCycle over the shards
+     *  (inline when there is one) up to the barrier. */
     void stepScan();
-    void stepActive();
+    void stepSharded();
 
-    /** Advance the parallel kernel by `cycles` (>= 1) barrier-to-
-     *  barrier: coordinator boundary drain, worker fan-out of
-     *  stepShardCycles, barrier, merge. */
-    void stepParallel(Cycle cycles);
-
-    /** Largest safe batch for the parallel kernel ending at or before
-     *  `horizon`: capped by the conservative lookahead (batchCap), the
-     *  next fault/reconfiguration/telemetry boundary, any pending
-     *  boundary event's due cycle, and forced to 1 while links are
-     *  down or a tracer is attached. */
-    Cycle batchCycles(Cycle horizon) const;
-
-    /** A worker's whole batch: per cycle, drain own intra-shard
-     *  events, then run the per-shard component slice, then advance
-     *  the shard-local clock. */
-    void stepShardCycles(Shard& sh, Cycle cycles);
+    /** One shard's cycle: drain its due intra-shard events, then run
+     *  its component slice. */
+    void stepShardCycle(Shard& sh);
 
     /** The per-shard slice of a cycle: process due NIC wakes, step
      *  active NICs, step active routers. Runs on the shard's stepping
      *  thread under the parallel kernel, inline otherwise. */
     void stepShardComponents(Shard& sh);
 
-    /** Fold per-batch shard deltas (injected/ejected/progressed flits,
+    /** Fold per-cycle shard deltas (injected/ejected/progressed flits,
      *  deliveries, deferred descriptor frees) into the global counters
      *  after the barrier. */
     void mergeShardCycleState();
-
-    /** The fixed top-of-cycle sequential work (fault events, telemetry
-     *  windows) shared by every kernel and the batch path. */
-    void topOfCycle();
 
     // --- Fault-event machinery (DESIGN.md "Fault events") -----------
 
@@ -826,24 +780,23 @@ class Network : public DeliverySink
      *  are always intra-shard). Fixed at construction; read by the env
      *  adapters to classify emissions with one table load. */
     std::vector<std::uint8_t> boundary_wire_;
-    /** Resolved barrier batch cap (resolveMaxBatchCycles). */
-    Cycle batch_cap_ = 1;
     /** Workers for shards 1..S-1 (the caller steps shard 0); owned by
      *  the network so nested campaign parallelism can never deadlock
      *  on a shared pool — each network fans out on its own. */
     std::unique_ptr<ThreadPool> intra_pool_;
-    /** End-of-batch barrier: workers decrement pending under the
+    /** End-of-cycle barrier: workers decrement pending under the
      *  mutex, the coordinator waits for zero. A plain counter (no
-     *  futures) so the per-batch fan-out allocates nothing. */
+     *  futures) so the per-cycle fan-out allocates nothing. */
     std::mutex barrier_mutex_;
     std::condition_variable barrier_cv_;
     std::size_t barrier_pending_ = 0;
-    /** First exception each shard's batch raised (rethrown in shard
+    /** First exception each shard's cycle raised (rethrown in shard
      *  order after the barrier; slots reset on throw). */
     std::vector<std::exception_ptr> shard_errors_;
-    /** The stepping thread's own shard while inside stepShardCycles;
+    /** The stepping thread's own shard while inside stepShardCycle;
      *  routes messageDelivered side effects to shard-local deltas.
-     *  Null on the coordinator's sequential phases (scan, purges). */
+     *  Null on the coordinator's sequential phases (scan, purges,
+     *  tracer drains). */
     static thread_local Shard* tls_shard_;
     std::vector<std::uint8_t> router_active_;
     std::vector<std::uint8_t> nic_active_;

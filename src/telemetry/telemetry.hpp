@@ -137,11 +137,13 @@ struct KernelProfile
      *  serialized slice of the parallel kernel's delivery phase). */
     double boundaryDrainSeconds = 0.0;
 
-    /** Worker time delivering intra-shard wire events (summed over
-     *  shards, so it can exceed wall-clock when shards overlap). */
+    /** Worker time delivering intra-shard wire events when there are
+     *  several shards (summed over shards, so it can exceed wall-clock
+     *  when shards overlap). A single shard books this time under
+     *  wireDrainSeconds instead, so no phase is counted twice. */
     double intraDeliverySeconds = 0.0;
 
-    /** Coordinator time parked at the end-of-batch barrier waiting for
+    /** Coordinator time parked at the end-of-cycle barrier waiting for
      *  the slowest shard worker. */
     double barrierWaitSeconds = 0.0;
 

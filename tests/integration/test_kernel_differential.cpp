@@ -34,7 +34,6 @@ struct KernelVariant
     std::string label;
     KernelKind kernel;
     unsigned intraJobs; //!< 0 outside the parallel kernel
-    Cycle maxBatch = 0; //!< parallel barrier batch cap (0 = auto)
 };
 
 /** The standard three-way panel: scan is the oracle, active the
@@ -61,17 +60,15 @@ intraJobSweep()
             {"parallel/8", KernelKind::Parallel, 8}};
 }
 
-/** The batch-cap sweep: the sequential oracles against 4-shard
- *  parallel runs re-barriering every 1, 2 and 4 cycles. Pair with a
- *  base config at linkDelay 3 so cap 4 is actually reachable. */
+/** The deep-wire panel: both sequential kernels against a 4-shard
+ *  parallel run at default settings. Pair with a base config at
+ *  linkDelay 3, where every wire holds events for four cycles. */
 std::vector<KernelVariant>
-batchSweep()
+deepWire()
 {
     return {{"scan", KernelKind::Scan, 0},
             {"active", KernelKind::Active, 0},
-            {"parallel/4@batch1", KernelKind::Parallel, 4, 1},
-            {"parallel/4@batch2", KernelKind::Parallel, 4, 2},
-            {"parallel/4@batch4", KernelKind::Parallel, 4, 4}};
+            {"parallel/4", KernelKind::Parallel, 4}};
 }
 
 /** The golden-stats scenario: small, fast, unsaturated, fixed seed. */
@@ -182,18 +179,12 @@ buildVariants(const SimConfig& base,
         SimConfig cfg = base;
         cfg.kernel = v.kernel;
         cfg.intraJobs = v.intraJobs;
-        cfg.maxBatchCycles = v.maxBatch;
         sims.push_back(std::make_unique<Simulation>(cfg));
         EXPECT_EQ(sims.back()->network().kernel(), v.kernel)
             << name << ' ' << v.label;
         if (v.kernel == KernelKind::Parallel) {
             EXPECT_EQ(sims.back()->network().shardCount(), v.intraJobs)
                 << name << ' ' << v.label;
-            if (v.maxBatch > 0) {
-                EXPECT_EQ(sims.back()->network().batchCap(),
-                          v.maxBatch)
-                    << name << ' ' << v.label;
-            }
         } else {
             EXPECT_EQ(sims.back()->network().shardCount(), 1u)
                 << name << ' ' << v.label;
@@ -207,14 +198,14 @@ buildVariants(const SimConfig& base,
  * asserting after each cycle that all variants agree with variant 0
  * on the externally visible counters, that every variant's O(1)
  * counters track their recomputed sums, and that the parallel
- * kernel's per-shard work counters merge to exactly the active
- * kernel's totals (the shards must not duplicate or drop steps).
+ * kernel's per-shard work counters — fast-forwarded cycles included —
+ * merge to exactly the active kernel's totals (the shards must not
+ * duplicate or drop steps, nor step where active skips).
  */
 void
 lockstep(std::vector<std::unique_ptr<Simulation>>& sims,
          const std::vector<KernelVariant>& variants,
-         const std::string& name, Cycle cycles, Cycle stride = 1,
-         bool pin_fast_forward = true)
+         const std::string& name, Cycle cycles, Cycle stride = 1)
 {
     // Index of the active-kernel variant: the work-counter reference.
     std::size_t active_idx = variants.size();
@@ -273,15 +264,10 @@ lockstep(std::vector<std::unique_ptr<Simulation>>& sims,
                           ac.wireEventsDelivered)
                     << name << ' ' << variants[i].label
                     << " wire event drift at cycle " << t;
-                // A multi-cycle batch may step through idle cycles a
-                // 1-cycle stride would fast-forward, so this pin only
-                // holds at stride 1.
-                if (pin_fast_forward) {
-                    ASSERT_EQ(pc.fastForwardedCycles,
-                              ac.fastForwardedCycles)
-                        << name << ' ' << variants[i].label
-                        << " fast-forward drift at cycle " << t;
-                }
+                ASSERT_EQ(pc.fastForwardedCycles,
+                          ac.fastForwardedCycles)
+                    << name << ' ' << variants[i].label
+                    << " fast-forward drift at cycle " << t;
             }
         }
     }
@@ -423,14 +409,13 @@ TEST(KernelDifferential, FinalStatsByteIdenticalOverCatalog)
     }
 }
 
-TEST(KernelDifferential, BatchSweepLockstepHealthyAndFaulted)
+TEST(KernelDifferential, DeepWireLockstepHealthyAndFaulted)
 {
-    // Multi-cycle batching under an 8-cycle stride (the phase
-    // quantum): batch caps 1, 2 and 4 against both sequential oracles,
-    // healthy and with live fault epochs plus telemetry windows that
-    // force barriers mid-batch. Counter comparisons run at every
-    // stride boundary; the fault/telemetry/boundary caps must place
-    // barriers so precisely that no counter ever drifts.
+    // linkDelay 3 under an 8-cycle stride (the phase quantum): the
+    // 4-shard parallel kernel against both sequential oracles, healthy
+    // and with live fault epochs plus telemetry windows. Counter
+    // comparisons run at every stride boundary, fast-forward counts
+    // included: every kernel takes the same stepUntil decisions.
     for (const bool faulted : {false, true}) {
         SimConfig base = diffBase();
         base.linkDelay = 3;
@@ -441,21 +426,21 @@ TEST(KernelDifferential, BatchSweepLockstepHealthyAndFaulted)
             base.reconfigLatency = 80;
             base.telemetryWindow = 64;
         }
-        const std::string name = faulted ? "batch-sweep:faulted"
-                                         : "batch-sweep:healthy";
-        const auto variants = batchSweep();
+        const std::string name = faulted ? "deep-wire:faulted"
+                                         : "deep-wire:healthy";
+        const auto variants = deepWire();
         auto sims = buildVariants(base, variants, name);
-        lockstep(sims, variants, name, 1000, /*stride=*/8,
-                 /*pin_fast_forward=*/false);
+        lockstep(sims, variants, name, 1000, /*stride=*/8);
     }
 }
 
-TEST(KernelDifferential, BatchSweepFinalStatsByteIdentical)
+TEST(KernelDifferential, DeepWireFinalStatsByteIdentical)
 {
-    // run() interleaves batched stepping with phase predicates (on the
-    // fixed 8-cycle quantum), saturation checks, fault events and the
-    // sharded stats reduction; every batch cap must produce the same
-    // byte-identical statistics as the sequential oracles.
+    // run() interleaves stepping with phase predicates (on the fixed
+    // 8-cycle quantum), saturation checks, fault events and the
+    // sharded stats reduction; on deep wires the parallel kernel must
+    // produce the same byte-identical statistics as the sequential
+    // oracles.
     SimConfig base = diffBase();
     base.linkDelay = 3;
     base.faultCount = 2;
@@ -463,17 +448,17 @@ TEST(KernelDifferential, BatchSweepFinalStatsByteIdentical)
     base.faultSpacing = 250;
     base.reconfigLatency = 100;
     base.telemetryWindow = 64;
-    const auto variants = batchSweep();
-    auto sims = buildVariants(base, variants, "batch-final");
+    const auto variants = deepWire();
+    auto sims = buildVariants(base, variants, "deep-wire-final");
     std::vector<SimStats> stats;
     stats.reserve(sims.size());
     for (auto& sim : sims)
         stats.push_back(sim->run());
     for (std::size_t i = 1; i < sims.size(); ++i) {
         expectStatsIdentical(stats[0], stats[i],
-                             "batch-final vs " + variants[i].label);
+                             "deep-wire-final vs " + variants[i].label);
         EXPECT_EQ(sims[0]->network().now(), sims[i]->network().now())
-            << "batch-final " << variants[i].label;
+            << "deep-wire-final " << variants[i].label;
     }
 }
 
@@ -504,24 +489,6 @@ TEST(KernelDifferential, SaturatedRunsAgree)
                       sims[i]->network().now())
                 << name << ' ' << variants[i].label;
         }
-    }
-
-    // The same saturated regime with multi-cycle batching: saturation
-    // checks land on the 256-cycle window inside run(), mid-stream of
-    // batched stepping, and must still agree — including the verdict.
-    SimConfig cfg = base;
-    cfg.linkDelay = 3;
-    const auto batched = batchSweep();
-    auto sims = buildVariants(cfg, batched, "saturated-batched");
-    std::vector<SimStats> stats;
-    for (auto& sim : sims)
-        stats.push_back(sim->run());
-    for (std::size_t i = 1; i < sims.size(); ++i) {
-        expectStatsIdentical(stats[0], stats[i],
-                             "saturated-batched vs " +
-                                 batched[i].label);
-        EXPECT_EQ(sims[0]->network().now(), sims[i]->network().now())
-            << "saturated-batched " << batched[i].label;
     }
 }
 

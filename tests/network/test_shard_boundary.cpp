@@ -16,8 +16,8 @@
  * NetworkParams::shardBoundaries to drive randomized and adversarial
  * cuts the balanced partition would never produce, including slivers
  * that spend most cycles with no active component (the idle-shard
- * fast-forward path) and multi-cycle batches that must break exactly
- * at fault and telemetry boundaries.
+ * fast-forward path), and deep wires whose fault and telemetry
+ * boundaries must land on exact cycles.
  */
 
 #include <gtest/gtest.h>
@@ -45,11 +45,10 @@ namespace
 {
 
 /** Optional NetRig knobs beyond the common (kernel, cuts, load, seed)
- *  set; defaults match the pre-batching rigs. */
+ *  set. */
 struct RigOpts
 {
     Cycle linkDelay = 1;
-    Cycle maxBatch = 0; //!< 0 = auto (linkDelay + 1)
     Cycle telemetryWindow = 0;
     FaultSchedule faults;
     Cycle reconfigLatency = 40;
@@ -97,7 +96,6 @@ struct NetRig
         np.intraJobs = 1; // overridden by explicit boundaries
         np.shardBoundaries = std::move(boundaries);
         np.linkDelay = opts.linkDelay;
-        np.maxBatch = opts.maxBatch;
         np.telemetryWindow = opts.telemetryWindow;
         if (!opts.faults.empty())
             opts.faults.validate(topo);
@@ -251,16 +249,8 @@ TEST(ShardBoundary, IdleShardsFastForwardLikeActive)
         ASSERT_EQ(rig.net->totalOccupancy(), 0u) << "drain hung";
     };
     const std::vector<int> radices = {4, 4};
-    // Batch cap 1: this test pins per-call stepUntil parity (the
-    // fast-forward skip counts), which is only defined when the
-    // parallel kernel barriers every cycle like the active kernel.
-    // Batching-vs-fast-forward interplay is covered by
-    // BatchSizesAgreeOnCountersAndStreams.
-    RigOpts opts;
-    opts.maxBatch = 1;
-    NetRig active(radices, KernelKind::Active, {}, 0.2, 99, opts);
-    NetRig sharded(radices, KernelKind::Parallel, {5, 9}, 0.2, 99,
-                   opts);
+    NetRig active(radices, KernelKind::Active, {}, 0.2, 99);
+    NetRig sharded(radices, KernelKind::Parallel, {5, 9}, 0.2, 99);
     drain(active);
     drain(sharded);
     ASSERT_EQ(sharded.net->now(), active.net->now());
@@ -285,113 +275,55 @@ TEST(ShardBoundary, IdleShardsFastForwardLikeActive)
     EXPECT_GT(p1.fastForwardedCycles, p0.fastForwardedCycles);
 }
 
-TEST(ShardBoundary, BatchedSteppingMatchesScanOracle)
+TEST(ShardBoundary, DeepWiresMatchScanOracle)
 {
-    // linkDelay 3 widens the safe lookahead to 4 cycles. Batch caps
-    // 1, 2 and 4 must all reproduce the scan oracle exactly at every
-    // 8-cycle checkpoint (stepUntil horizons cap batches, so every
-    // variant lands on each checkpoint cycle precisely).
+    // linkDelay 3 keeps four cycles of events in flight on every wire,
+    // spread over four calendar slots per shard. The sharded run must
+    // reproduce the scan oracle exactly at every 8-cycle checkpoint.
     const std::vector<int> radices = {4, 4};
     const std::vector<NodeId> cuts = {4, 8, 12};
-    for (const Cycle batch : {Cycle{1}, Cycle{2}, Cycle{4}}) {
-        const std::string name = "batch " + std::to_string(batch);
-        RigOpts scan_opts;
-        scan_opts.linkDelay = 3;
-        RigOpts par_opts;
-        par_opts.linkDelay = 3;
-        par_opts.maxBatch = batch;
-        NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 777,
-                      scan_opts);
-        NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 777,
-                       par_opts);
-        ASSERT_EQ(sharded.net->batchCap(), batch) << name;
+    RigOpts opts;
+    opts.linkDelay = 3;
+    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 777, opts);
+    NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 777, opts);
 
-        for (Cycle cp = 8; cp <= 800; cp += 8) {
-            while (oracle.net->now() < cp)
-                oracle.net->stepUntil(cp);
-            while (sharded.net->now() < cp)
-                sharded.net->stepUntil(cp);
-            ASSERT_EQ(sharded.net->now(), oracle.net->now()) << name;
-            ASSERT_EQ(sharded.net->totalOccupancy(),
-                      oracle.net->totalOccupancy())
-                << name << " at cycle " << cp;
-            ASSERT_EQ(sharded.net->progressCounter(),
-                      oracle.net->progressCounter())
-                << name << " at cycle " << cp;
-            ASSERT_EQ(sharded.net->totalOccupancy(),
-                      sharded.net->totalOccupancySlow())
-                << name << " merge drift at cycle " << cp;
-        }
-        expectSameDeliveryStreams(sharded, oracle, name);
-        EXPECT_GT(oracle.deliveredCount(), 0u) << name;
-    }
-}
-
-TEST(ShardBoundary, BatchSizesAgreeOnCountersAndStreams)
-{
-    // Batch cap 1 (barrier every cycle) versus the full 4-cycle
-    // lookahead: identical work counters at every checkpoint and
-    // identical per-destination streams. Fast-forward counts are NOT
-    // pinned — a 1-cycle batch may skip idle stretches a wider batch
-    // steps through — but component work must match exactly because
-    // the active sets evolve identically.
-    const std::vector<int> radices = {4, 4};
-    const std::vector<NodeId> cuts = {4, 8, 12};
-    RigOpts o1;
-    o1.linkDelay = 3;
-    o1.maxBatch = 1;
-    RigOpts o4;
-    o4.linkDelay = 3;
-    o4.maxBatch = 4;
-    NetRig a(radices, KernelKind::Parallel, cuts, 0.4, 1234, o1);
-    NetRig b(radices, KernelKind::Parallel, cuts, 0.4, 1234, o4);
-    for (Cycle cp = 8; cp <= 640; cp += 8) {
-        while (a.net->now() < cp)
-            a.net->stepUntil(cp);
-        while (b.net->now() < cp)
-            b.net->stepUntil(cp);
-        const Network::KernelCounters ka = a.net->kernelCounters();
-        const Network::KernelCounters kb = b.net->kernelCounters();
-        ASSERT_EQ(ka.wireEventsDelivered, kb.wireEventsDelivered)
+    for (Cycle cp = 8; cp <= 800; cp += 8) {
+        while (oracle.net->now() < cp)
+            oracle.net->stepUntil(cp);
+        while (sharded.net->now() < cp)
+            sharded.net->stepUntil(cp);
+        ASSERT_EQ(sharded.net->now(), oracle.net->now());
+        ASSERT_EQ(sharded.net->totalOccupancy(),
+                  oracle.net->totalOccupancy())
             << "at cycle " << cp;
-        ASSERT_EQ(ka.nicSteps, kb.nicSteps) << "at cycle " << cp;
-        ASSERT_EQ(ka.routerSteps, kb.routerSteps) << "at cycle " << cp;
+        ASSERT_EQ(sharded.net->progressCounter(),
+                  oracle.net->progressCounter())
+            << "at cycle " << cp;
+        ASSERT_EQ(sharded.net->totalOccupancy(),
+                  sharded.net->totalOccupancySlow())
+            << "merge drift at cycle " << cp;
     }
-    // The same work also landed on the same shards.
-    for (std::size_t s = 0; s < a.net->shardCount(); ++s) {
-        const Network::KernelCounters& sa = a.net->shardCounters(s);
-        const Network::KernelCounters& sb = b.net->shardCounters(s);
-        EXPECT_EQ(sa.nicSteps, sb.nicSteps) << "shard " << s;
-        EXPECT_EQ(sa.routerSteps, sb.routerSteps) << "shard " << s;
-        EXPECT_EQ(sa.wireEventsDelivered, sb.wireEventsDelivered)
-            << "shard " << s;
-    }
-    expectSameDeliveryStreams(a, b, "batch 1 vs 4");
+    expectSameDeliveryStreams(sharded, oracle, "deep wires");
+    EXPECT_GT(oracle.deliveredCount(), 0u);
 }
 
-TEST(ShardBoundary, FaultsMidBatchForceBarriersAtExactCycles)
+TEST(ShardBoundary, FaultsForceBarriersAtExactCycles)
 {
-    // A link down at cycle 402 and its repair at 450 both sit mid-way
-    // through a 4-cycle batch window. The kernel must place a barrier
-    // at exactly those cycles (batchCycles ends the batch at the next
-    // fault event; the idle fast-forward also stops there), collapse
-    // to 1-cycle batches while the failure is live, and keep the
-    // whole faulted run byte-identical to the scan oracle.
+    // A link down at cycle 402 and its repair at 450 on deep wires,
+    // neither on an 8-cycle checkpoint. The kernel must stop at
+    // exactly those cycles (the idle fast-forward never jumps over a
+    // fault event or a reconfiguration) and keep the whole faulted run
+    // byte-identical to the scan oracle.
     const std::vector<int> radices = {4, 4};
     const std::vector<NodeId> cuts = {4, 8, 12};
-    auto makeOpts = [](Cycle max_batch) {
-        RigOpts opts;
-        opts.linkDelay = 3;
-        opts.maxBatch = max_batch;
-        opts.faults.addDown(402, 5, 1);
-        opts.faults.addUp(450, 5, 1);
-        opts.reconfigLatency = 37; // reconfig at 439 / 487, mid-batch
-        return opts;
-    };
-    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 90210,
-                  makeOpts(0));
+    RigOpts opts;
+    opts.linkDelay = 3;
+    opts.faults.addDown(402, 5, 1);
+    opts.faults.addUp(450, 5, 1);
+    opts.reconfigLatency = 37; // reconfig at 439 / 487
+    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 90210, opts);
     NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 90210,
-                   makeOpts(4));
+                   opts);
 
     std::vector<Cycle> barriers;
     for (Cycle cp = 8; cp <= 800; cp += 8) {
@@ -409,7 +341,7 @@ TEST(ShardBoundary, FaultsMidBatchForceBarriersAtExactCycles)
             << "at cycle " << cp;
     }
     // The stepping sequence paused exactly at both fault events and
-    // both reconfiguration sweeps — no batch crossed them.
+    // both reconfiguration sweeps — no step crossed them.
     for (const Cycle must_stop : {Cycle{402}, Cycle{439}, Cycle{450},
                                   Cycle{487}}) {
         EXPECT_TRUE(std::find(barriers.begin(), barriers.end(),
@@ -418,29 +350,24 @@ TEST(ShardBoundary, FaultsMidBatchForceBarriersAtExactCycles)
     }
     ASSERT_EQ(sharded.net->faultCounters().linkDownEvents, 1u);
     ASSERT_EQ(sharded.net->faultCounters().linkUpEvents, 1u);
-    expectSameDeliveryStreams(sharded, oracle, "fault mid-batch");
+    expectSameDeliveryStreams(sharded, oracle, "faults");
 }
 
-TEST(ShardBoundary, TelemetryWindowsMidBatchStayByteIdentical)
+TEST(ShardBoundary, TelemetryWindowsStayByteIdentical)
 {
-    // A 6-cycle telemetry window never aligns with the 4-cycle batch
-    // cap, so every capture forces a barrier mid-batch. The JSONL
+    // A 6-cycle telemetry window on deep wires never aligns with the
+    // 4-cycle wire depth or the 8-cycle checkpoints. The JSONL
     // telemetry streams must come out byte-for-byte equal to the scan
     // oracle's — same windows, same per-node counters, same idle
     // splits.
     const std::vector<int> radices = {4, 4};
     const std::vector<NodeId> cuts = {4, 8, 12};
-    auto makeOpts = [](Cycle max_batch) {
-        RigOpts opts;
-        opts.linkDelay = 3;
-        opts.maxBatch = max_batch;
-        opts.telemetryWindow = 6;
-        return opts;
-    };
-    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 5150,
-                  makeOpts(0));
+    RigOpts opts;
+    opts.linkDelay = 3;
+    opts.telemetryWindow = 6;
+    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 5150, opts);
     NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 5150,
-                   makeOpts(4));
+                   opts);
     TelemetryBuffer oracle_buf(oracle.topo.numNodes(),
                                oracle.topo.numPorts());
     TelemetryBuffer sharded_buf(sharded.topo.numNodes(),
@@ -461,7 +388,7 @@ TEST(ShardBoundary, TelemetryWindowsMidBatchStayByteIdentical)
     oracle_buf.writeJsonl(oracle_jsonl);
     sharded_buf.writeJsonl(sharded_jsonl);
     EXPECT_EQ(sharded_jsonl.str(), oracle_jsonl.str());
-    expectSameDeliveryStreams(sharded, oracle, "telemetry mid-batch");
+    expectSameDeliveryStreams(sharded, oracle, "telemetry");
 }
 
 TEST(ShardBoundary, InvalidBoundariesRefuse)

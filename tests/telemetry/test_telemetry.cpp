@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -148,6 +149,32 @@ TEST(TelemetryDeterminism, WindowBoundariesExactUnderFastForward)
                         sim.topology().numNodes()));
     EXPECT_GT(sim.network().kernelCounters().fastForwardedCycles, 0u)
         << "scenario too busy to exercise fast-forward";
+}
+
+TEST(KernelProfileTest, ActivePhasesAddUpWithinWallTime)
+{
+    // One shard, one thread: every profile phase is a disjoint slice
+    // of the stepping loop, so their sum can never exceed the wall
+    // time around it. Intra-shard delivery is the whole wire phase at
+    // one shard and is booked once, as wire drain.
+    SimConfig cfg = telemetryBase();
+    cfg.radices = {8, 8};
+    cfg.normalizedLoad = 0.3;
+    cfg.kernel = KernelKind::Active;
+    Simulation sim(cfg);
+    sim.network().setProfiling(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.stepCycles(3000);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    const KernelProfile prof = sim.network().kernelProfile();
+    EXPECT_LE(prof.totalSeconds(), wall);
+    EXPECT_EQ(prof.intraDeliverySeconds, 0.0);
+    EXPECT_EQ(prof.boundaryDrainSeconds, 0.0);
+    EXPECT_EQ(prof.barrierWaitSeconds, 0.0);
+    EXPECT_GT(prof.wireDrainSeconds, 0.0);
+    EXPECT_GT(prof.routerStepSeconds, 0.0);
 }
 
 TEST(Telemetry, AttachWithoutWindowThrows)

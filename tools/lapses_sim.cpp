@@ -106,12 +106,8 @@ printHelp()
         "                       LAPSES_KERNEL=parallel; 0 = auto via\n"
         "                       LAPSES_INTRA_JOBS / hardware). Never\n"
         "                       changes results               [0]\n"
-        "  --link-delay N       link traversal cycles; widens the\n"
-        "                       parallel kernel's batch lookahead [1]\n"
-        "  --max-batch N        parallel-kernel cycles per barrier\n"
-        "                       (0 = auto via LAPSES_MAX_BATCH, else\n"
-        "                       link-delay + 1). Never changes\n"
-        "                       results                       [0]\n"
+        "  --link-delay N       link traversal cycles; deepens every\n"
+        "                       wire                          [1]\n"
         "\n"
         "Telemetry / tracing (README \"Telemetry & tracing\"; single\n"
         "point only, not --sweep):\n"
@@ -301,8 +297,6 @@ main(int argc, char** argv)
             } else if (arg == "--link-delay") {
                 cfg.linkDelay = static_cast<Cycle>(
                     parseCheckedInt(arg, value(), 1, 64));
-            } else if (arg == "--max-batch") {
-                cfg.maxBatchCycles = parseCheckedU64(arg, value());
             } else if (arg == "--telemetry-window") {
                 cfg.telemetryWindow = parseCheckedU64(arg, value());
             } else if (arg == "--telemetry-out") {
@@ -440,25 +434,26 @@ main(int argc, char** argv)
                     prof.totalSeconds() * 1e3,
                     static_cast<unsigned long long>(
                         kc.fastForwardedCycles));
-                // Amdahl view: phases the coordinator runs alone vs
-                // the timed total. NIC/router stepping and intra
-                // delivery are the parallel portion (their seconds sum
-                // worker CPU time across shards).
-                const double serial = prof.wireDrainSeconds +
-                                      prof.boundaryDrainSeconds +
-                                      prof.barrierWaitSeconds +
-                                      prof.faultSeconds +
-                                      prof.telemetrySeconds;
-                const double total = prof.totalSeconds();
-                if (total > 0.0) {
-                    std::printf(
-                        "  serial fraction %.1f%% (boundary drain + "
-                        "barrier wait + fault + telemetry)\n",
-                        100.0 * serial / total);
-                }
                 const std::size_t shards =
                     sim.network().shardCount();
                 if (shards > 1) {
+                    // Amdahl view: phases the coordinator runs alone
+                    // vs the timed total. NIC/router stepping and
+                    // intra delivery are the parallel portion (their
+                    // seconds sum worker CPU time across shards). One
+                    // shard has no parallel portion to compare.
+                    const double serial = prof.wireDrainSeconds +
+                                          prof.boundaryDrainSeconds +
+                                          prof.barrierWaitSeconds +
+                                          prof.faultSeconds +
+                                          prof.telemetrySeconds;
+                    const double total = prof.totalSeconds();
+                    if (total > 0.0) {
+                        std::printf(
+                            "  serial fraction %.1f%% (boundary drain "
+                            "+ barrier wait + fault + telemetry)\n",
+                            100.0 * serial / total);
+                    }
                     std::uint64_t lo =
                         std::numeric_limits<std::uint64_t>::max();
                     std::uint64_t hi = 0;
