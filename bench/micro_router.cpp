@@ -61,38 +61,6 @@ BENCHMARK(BM_PathSelection)
     ->Arg(static_cast<int>(SelectorKind::Lru))
     ->Arg(static_cast<int>(SelectorKind::MaxCredit));
 
-void
-networkCycles(benchmark::State& state, double load)
-{
-    SimConfig cfg;
-    cfg.model = RouterModel::LaProud;
-    cfg.routing = RoutingAlgo::DuatoFullyAdaptive;
-    cfg.table = TableKind::EconomicalStorage;
-    cfg.traffic = TrafficKind::Uniform;
-    cfg.normalizedLoad = load;
-    Simulation sim(cfg);
-    sim.stepCycles(2000); // warm the network up
-    for (auto _ : state)
-        sim.stepCycles(100);
-    // Report simulated router-cycles per wall second.
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * 100 * sim.topology().numNodes()));
-}
-
-void
-BM_NetworkCycleLowLoad(benchmark::State& state)
-{
-    networkCycles(state, 0.1);
-}
-BENCHMARK(BM_NetworkCycleLowLoad)->Unit(benchmark::kMicrosecond);
-
-void
-BM_NetworkCycleHighLoad(benchmark::State& state)
-{
-    networkCycles(state, 0.7);
-}
-BENCHMARK(BM_NetworkCycleHighLoad)->Unit(benchmark::kMicrosecond);
-
 SimConfig
 kernelBenchConfig(double load, KernelKind kernel)
 {

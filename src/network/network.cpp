@@ -95,8 +95,6 @@ resolveIntraJobs(unsigned requested)
     return std::min(jobs, MessagePool::kMaxBanks);
 }
 
-thread_local Network::Shard* Network::tls_shard_ = nullptr;
-
 void
 Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
                             const Flit& flit)
@@ -511,10 +509,8 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
 }
 
 void
-Network::deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc)
+Network::deliverCreditWire(NodeId id, PortId p, const WireCredit& wc)
 {
-    (void)sh;
     if (p == kLocalPort) {
         nics_[static_cast<std::size_t>(id)].acceptCredit(wc.vc);
         if (kernel_ != KernelKind::Scan)
@@ -530,9 +526,8 @@ Network::deliverCreditWire(Shard& sh, NodeId id, PortId p,
 }
 
 void
-Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf)
+Network::deliverInjectWire(NodeId id, const WireFlit& wf)
 {
-    (void)sh;
     if (tracer_ != nullptr) {
         tracer_->record({now_, TraceEvent::Kind::Inject, id,
                          kLocalPort, pool_[wf.flit.msg].id,
@@ -566,14 +561,14 @@ Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end)
             auto& cw = credit_wires_[wireIndex(id, p)];
             while (!cw.empty() && cw.front().due <= now_) {
                 ++sh.counters.wireEventsDelivered;
-                deliverCreditWire(sh, id, p, cw.pop());
+                deliverCreditWire(id, p, cw.pop());
             }
         }
         // NIC injection wires -> router local input port.
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
         while (!iw.empty() && iw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop());
+            deliverInjectWire(id, iw.pop());
         }
     }
 }
@@ -588,7 +583,7 @@ Network::deliverKey(Shard& sh, std::int32_t key)
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
         while (!iw.empty() && iw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop());
+            deliverInjectWire(id, iw.pop());
         }
     } else if (slot % 2 == 0) {
         const auto p = static_cast<PortId>(slot / 2);
@@ -602,9 +597,27 @@ Network::deliverKey(Shard& sh, std::int32_t key)
         auto& cw = credit_wires_[wireIndex(id, p)];
         while (!cw.empty() && cw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
-            deliverCreditWire(sh, id, p, cw.pop());
+            deliverCreditWire(id, p, cw.pop());
         }
     }
+}
+
+void
+Network::deliverSortedKeys(Shard& sh, std::vector<std::int32_t>& keys)
+{
+    // Ascending wire-key order = the scan kernel's delivery order
+    // restricted to these keys, so every receiver sees its arrivals in
+    // the canonical order. A wire carrying several same-cycle events
+    // appears once per event and is drained on its first occurrence.
+    std::sort(keys.begin(), keys.end());
+    std::int32_t prev_key = -1;
+    for (const std::int32_t key : keys) {
+        if (key == prev_key)
+            continue;
+        prev_key = key;
+        deliverKey(sh, key);
+    }
+    keys.clear();
 }
 
 void
@@ -633,19 +646,8 @@ Network::drainShardIntra(Shard& sh)
         deliverWiresRange(sh, sh.begin, sh.end);
         return;
     }
-    // Ascending wire-key order = the scan kernel's delivery order
-    // restricted to this shard, so every receiver sees its arrivals
-    // in the canonical order (receivers of intra-shard events live in
-    // this shard only).
-    std::sort(bucket.keys.begin(), bucket.keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.keys) {
-        if (key == prev_key)
-            continue; // several same-cycle events on one wire
-        prev_key = key;
-        deliverKey(sh, key);
-    }
-    bucket.keys.clear();
+    // Receivers of intra-shard events live in this shard only.
+    deliverSortedKeys(sh, bucket.keys);
 }
 
 void
@@ -661,69 +663,40 @@ Network::drainShardBoundary(Shard& sh)
     // (acceptFlit/acceptCredit on disjoint (port, vc) slots plus an
     // idempotent activation), so their relative order against another
     // shard's intra-shard deliveries is unobservable.
-    std::sort(bucket.boundary_keys.begin(),
-              bucket.boundary_keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.boundary_keys) {
-        if (key == prev_key)
-            continue;
-        prev_key = key;
-        deliverKey(sh, key);
-    }
-    bucket.boundary_keys.clear();
-}
-
-void
-Network::drainShardSerial(Shard& sh)
-{
-    // Tracer runs only: a shared trace stream cannot take concurrent
-    // writers, so the whole bucket — intra and boundary merged back
-    // together — drains on the coordinator in global canonical order.
-    CalendarBucket& bucket = sh.calendar[now_slot_];
-    if (bucket.keys.empty() && bucket.boundary_keys.empty())
-        return;
-    LAPSES_ASSERT(bucket.due == now_);
-    bucket.keys.insert(bucket.keys.end(),
-                       bucket.boundary_keys.begin(),
-                       bucket.boundary_keys.end());
-    bucket.boundary_keys.clear();
-    std::sort(bucket.keys.begin(), bucket.keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.keys) {
-        if (key == prev_key)
-            continue;
-        prev_key = key;
-        deliverKey(sh, key);
-    }
-    bucket.keys.clear();
+    deliverSortedKeys(sh, bucket.boundary_keys);
 }
 
 void
 Network::stepScan()
 {
+    // The oracle's single shard spans every node, so its bookkeeping
+    // takes the same shard deltas and end-of-cycle merge as the
+    // sharded path.
+    Shard& sh = shards_[0];
     {
-        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        deliverWiresRange(shards_[0], 0, topo_.numNodes());
+        ScopedPhaseTimer timer(profiling_, sh.profile.wireDrainSeconds);
+        deliverWiresRange(sh, 0, topo_.numNodes());
     }
     const auto n = static_cast<std::size_t>(topo_.numNodes());
-    counters_.nicSteps += n;
-    counters_.routerSteps += n;
+    sh.counters.nicSteps += n;
+    sh.counters.routerSteps += n;
     {
-        ScopedPhaseTimer timer(profiling_, profile_.nicStepSeconds);
+        ScopedPhaseTimer timer(profiling_, sh.profile.nicStepSeconds);
         for (NodeId id = 0; id < topo_.numNodes(); ++id) {
             const StepActivity act =
                 nics_[static_cast<std::size_t>(id)].step(
                     now_, nic_envs_[static_cast<std::size_t>(id)]);
-            progress_flits_ += act.progressed;
+            sh.progress_flits += act.progressed;
         }
     }
     {
-        ScopedPhaseTimer timer(profiling_, profile_.routerStepSeconds);
+        ScopedPhaseTimer timer(profiling_,
+                               sh.profile.routerStepSeconds);
         for (NodeId id = 0; id < topo_.numNodes(); ++id) {
             const StepActivity act =
                 routers_[static_cast<std::size_t>(id)].step(
                     now_, router_envs_[static_cast<std::size_t>(id)]);
-            progress_flits_ += act.progressed;
+            sh.progress_flits += act.progressed;
         }
     }
 }
@@ -817,19 +790,9 @@ Network::mergeShardCycleState()
 void
 Network::stepShardCycle(Shard& sh)
 {
-    // Route this thread's delivery side effects (delivered counters,
-    // the stats hook, descriptor releases) into the shard's own
-    // deltas for the duration of the cycle.
-    struct TlsGuard
-    {
-        ~TlsGuard() { tls_shard_ = nullptr; }
-    } guard;
-    (void)guard;
-    tls_shard_ = &sh;
     // Intra-shard deliveries first (receivers join the active set),
     // then the component slice — the same phase order every kernel
-    // uses. Under the tracer fallback the coordinator already drained
-    // the whole bucket, so the drain is a no-op.
+    // uses.
     drainShardIntra(sh);
     stepShardComponents(sh);
 }
@@ -841,17 +804,11 @@ Network::stepSharded()
     // order reproduce the global canonical order restricted to
     // boundary-crossing events. Everything else — intra-shard
     // deliveries, stats hooks, descriptor releases — happens on the
-    // owning shard's thread inside stepShardCycle. With a tracer
-    // attached the whole bucket drains here instead (serial
-    // fallback), preserving the single-writer trace stream. A single
-    // shard has no boundary wires, so it skips the phase.
-    if (tracer_ != nullptr) {
-        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        for (Shard& sh : shards_)
-            drainShardSerial(sh);
-    } else if (shards_.size() > 1) {
+    // owning shard's thread inside stepShardCycle. A single shard has
+    // no boundary wires, so it skips the phase.
+    if (shards_.size() > 1) {
         ScopedPhaseTimer timer(profiling_,
-                               profile_.boundaryDrainSeconds);
+                               shards_[0].profile.boundaryDrainSeconds);
         for (Shard& sh : shards_)
             drainShardBoundary(sh);
     }
@@ -860,50 +817,49 @@ Network::stepSharded()
     // coordinator. Conservative lookahead — everything a shard emits
     // at cycle t is due t + linkDelay + 1 — means no stepping thread
     // can consume another shard's output within the cycle, so the
-    // only synchronization is the join barrier itself.
-    if (intra_pool_ == nullptr) {
+    // only synchronization is the join barrier itself. A traced run
+    // steps its shards one after another on this thread instead, which
+    // keeps the tracer's stream single-writer; the drains are the same.
+    if (intra_pool_ == nullptr || tracer_ != nullptr) {
         for (Shard& sh : shards_)
             stepShardCycle(sh);
-    } else {
-        {
-            const std::lock_guard<std::mutex> lock(barrier_mutex_);
-            barrier_pending_ = shards_.size() - 1;
-        }
-        for (std::size_t s = 1; s < shards_.size(); ++s) {
-            intra_pool_->post([this, s] {
-                try {
-                    stepShardCycle(shards_[s]);
-                } catch (...) {
-                    shard_errors_[s] = std::current_exception();
-                }
-                const std::lock_guard<std::mutex> lock(
-                    barrier_mutex_);
-                if (--barrier_pending_ == 0)
-                    barrier_cv_.notify_one();
-            });
-        }
-        try {
-            stepShardCycle(shards_[0]);
-        } catch (...) {
-            shard_errors_[0] = std::current_exception();
-        }
-        // Wait for every shard before rethrowing anything, so a
-        // throwing shard cannot leave the others running into the
-        // sequential phases.
-        {
-            ScopedPhaseTimer timer(profiling_,
-                                   profile_.barrierWaitSeconds);
-            std::unique_lock<std::mutex> lock(barrier_mutex_);
-            barrier_cv_.wait(
-                lock, [this] { return barrier_pending_ == 0; });
-        }
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            if (shard_errors_[s] != nullptr) {
-                const std::exception_ptr err = shard_errors_[s];
-                for (auto& e : shard_errors_)
-                    e = nullptr;
-                std::rethrow_exception(err);
+        return;
+    }
+    {
+        const std::lock_guard<std::mutex> lock(barrier_mutex_);
+        barrier_pending_ = shards_.size() - 1;
+    }
+    for (std::size_t s = 1; s < shards_.size(); ++s) {
+        intra_pool_->post([this, s] {
+            try {
+                stepShardCycle(shards_[s]);
+            } catch (...) {
+                shard_errors_[s] = std::current_exception();
             }
+            const std::lock_guard<std::mutex> lock(barrier_mutex_);
+            if (--barrier_pending_ == 0)
+                barrier_cv_.notify_one();
+        });
+    }
+    try {
+        stepShardCycle(shards_[0]);
+    } catch (...) {
+        shard_errors_[0] = std::current_exception();
+    }
+    // Wait for every shard before rethrowing anything, so a throwing
+    // shard cannot leave the others running into the sequential phases.
+    {
+        ScopedPhaseTimer timer(profiling_,
+                               shards_[0].profile.barrierWaitSeconds);
+        std::unique_lock<std::mutex> lock(barrier_mutex_);
+        barrier_cv_.wait(lock, [this] { return barrier_pending_ == 0; });
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (shard_errors_[s] != nullptr) {
+            const std::exception_ptr err = shard_errors_[s];
+            for (auto& e : shard_errors_)
+                e = nullptr;
+            std::rethrow_exception(err);
         }
     }
 }
@@ -1171,14 +1127,16 @@ Network::step()
 {
     if (next_fault_ < fault_events_.size() ||
         next_reconfig_ < reconfig_due_.size()) {
-        ScopedPhaseTimer timer(profiling_, profile_.faultSeconds);
+        ScopedPhaseTimer timer(profiling_,
+                               shards_[0].profile.faultSeconds);
         applyFaultEvents();
     }
     if (now_ == next_telemetry_at_) {
         // Fixed snapshot point, like fault events: before any wire
         // delivery or component stepping of this cycle, so the window
         // [now - W, now) is complete and identical under every kernel.
-        ScopedPhaseTimer timer(profiling_, profile_.telemetrySeconds);
+        ScopedPhaseTimer timer(profiling_,
+                               shards_[0].profile.telemetrySeconds);
         captureTelemetryWindow();
     }
     if (kernel_ == KernelKind::Scan)
@@ -1207,7 +1165,7 @@ Network::stepUntil(Cycle horizon)
             // jumps over all of them at once.
             const Cycle target = std::min(horizon, next);
             const Cycle advanced = target - now_;
-            counters_.fastForwardedCycles += advanced;
+            shards_[0].counters.fastForwardedCycles += advanced;
             now_ = target;
             now_slot_ = now_ % shards_[0].calendar.size();
             return advanced;
@@ -1325,63 +1283,53 @@ Network::progressCounterSlow() const
 Network::KernelCounters
 Network::kernelCounters() const
 {
-    // Per-shard accumulation with a merge on read: stepping threads
+    // Per-shard accumulation with a sum on read: stepping threads
     // only ever touch their own shard's counters, so the parallel
     // kernel needs no shared mutable counter (and no atomics on the
-    // step path).
-    KernelCounters merged = counters_;
+    // step path). The coordinator's own phases book into shard 0.
+    KernelCounters sum;
     for (const Shard& sh : shards_) {
-        merged.nicSteps += sh.counters.nicSteps;
-        merged.routerSteps += sh.counters.routerSteps;
-        merged.wireEventsDelivered += sh.counters.wireEventsDelivered;
-        merged.fastForwardedCycles += sh.counters.fastForwardedCycles;
+        sum.nicSteps += sh.counters.nicSteps;
+        sum.routerSteps += sh.counters.routerSteps;
+        sum.wireEventsDelivered += sh.counters.wireEventsDelivered;
+        sum.fastForwardedCycles += sh.counters.fastForwardedCycles;
     }
-    return merged;
+    return sum;
 }
 
 KernelProfile
 Network::kernelProfile() const
 {
-    KernelProfile merged = profile_;
+    KernelProfile sum;
     for (const Shard& sh : shards_) {
-        merged.wireDrainSeconds += sh.profile.wireDrainSeconds;
-        merged.nicStepSeconds += sh.profile.nicStepSeconds;
-        merged.routerStepSeconds += sh.profile.routerStepSeconds;
-        merged.faultSeconds += sh.profile.faultSeconds;
-        merged.telemetrySeconds += sh.profile.telemetrySeconds;
-        merged.boundaryDrainSeconds += sh.profile.boundaryDrainSeconds;
-        merged.intraDeliverySeconds += sh.profile.intraDeliverySeconds;
-        merged.barrierWaitSeconds += sh.profile.barrierWaitSeconds;
+        sum.wireDrainSeconds += sh.profile.wireDrainSeconds;
+        sum.nicStepSeconds += sh.profile.nicStepSeconds;
+        sum.routerStepSeconds += sh.profile.routerStepSeconds;
+        sum.faultSeconds += sh.profile.faultSeconds;
+        sum.telemetrySeconds += sh.profile.telemetrySeconds;
+        sum.boundaryDrainSeconds += sh.profile.boundaryDrainSeconds;
+        sum.intraDeliverySeconds += sh.profile.intraDeliverySeconds;
+        sum.barrierWaitSeconds += sh.profile.barrierWaitSeconds;
     }
-    return merged;
+    return sum;
 }
 
 void
 Network::messageDelivered(MsgRef msg, Cycle now)
 {
+    // Every ejection happens on the destination's owning shard (on
+    // its stepping thread under the parallel kernel), so the counters,
+    // the hook's per-destination stats lanes and the deferred
+    // descriptor release are all shard-local; the end-of-cycle merge
+    // folds them in.
     const MessageDescriptor& desc = pool_[msg];
-    Shard* sh = tls_shard_;
-    if (sh != nullptr) {
-        // Stepping-thread path: every ejection happens on the
-        // destination's owning shard, so the counters, the hook's
-        // per-destination stats lanes, and the deferred release are
-        // all shard-local. The barrier merge folds them in.
-        ++sh->delivered_total;
-        if (desc.measured)
-            ++sh->delivered_measured;
-        if (hook_ != nullptr)
-            hook_(hook_ctx_, desc, now);
-        sh->pending_release.push_back(msg);
-        return;
-    }
-    ++delivered_total_;
+    Shard& sh = shards_[shard_of_[static_cast<std::size_t>(desc.dest)]];
+    ++sh.delivered_total;
     if (desc.measured)
-        ++delivered_measured_;
+        ++sh.delivered_measured;
     if (hook_ != nullptr)
         hook_(hook_ctx_, desc, now);
-    // The tail was the message's last flit anywhere in the network:
-    // recycle its descriptor.
-    pool_.release(msg);
+    sh.pending_release.push_back(msg);
 }
 
 } // namespace lapses

@@ -22,7 +22,9 @@
  *    merge, and every cycle ends at a barrier.
  *    KernelKind::Active (default) runs it as one shard on the calling
  *    thread; KernelKind::Parallel runs one shard per intra-run worker
- *    (DESIGN.md "Parallel kernel" spells out the contracts).
+ *    (DESIGN.md "Parallel kernel" spells out the contracts), except
+ *    that a traced network steps its shards in turn on the calling
+ *    thread, so the tracer always has a single writer.
  *  - KernelKind::Scan: the original path that steps every component and
  *    scans every wire each cycle, kept as the differential oracle
  *    (LAPSES_KERNEL=scan).
@@ -239,14 +241,15 @@ class Network : public DeliverySink
         return shard_of_[static_cast<std::size_t>(id)];
     }
 
-    /** Work counters for perf tests and benches: the coordinator's
-     *  delivery/fast-forward counts merged with every shard's step
-     *  counts (each shard accumulates its own, so stepping threads
-     *  never write a shared counter). */
+    /** Work counters for perf tests and benches: the field-wise sum
+     *  of every shard's counters (each shard accumulates its own, so
+     *  stepping threads never write a shared counter). */
     KernelCounters kernelCounters() const;
 
     /** One shard's own step/delivery counters (load-imbalance
-     *  diagnostics; --profile warns when max/min exceeds 2x). */
+     *  diagnostics; --profile warns when max/min exceeds 2x). Shard 0
+     *  also holds the coordinator's fast-forward count and, under the
+     *  scan kernel, every step. */
     const KernelCounters&
     shardCounters(std::size_t shard) const
     {
@@ -424,13 +427,14 @@ class Network : public DeliverySink
      *  the host clock, never simulated state). */
     void setProfiling(bool on) { profiling_ = on; }
 
-    /** Accumulated per-phase wall-clock seconds (--profile): the
-     *  coordinator's phases merged with per-shard step timers. Under
-     *  the parallel kernel the step phases sum CPU seconds across
-     *  shards, so they can exceed wall time. */
+    /** Accumulated per-phase wall-clock seconds (--profile): the sum
+     *  of the shards' timers, with the coordinator's phases booked in
+     *  shard 0. Under the parallel kernel the step phases sum CPU
+     *  seconds across shards, so they can exceed wall time. */
     KernelProfile kernelProfile() const;
 
-    // DeliverySink; recycles the message's descriptor after the hook.
+    // DeliverySink: books the delivery to the destination's shard and
+    // defers the descriptor's release to the end-of-cycle merge.
     void messageDelivered(MsgRef msg, Cycle now) override;
 
     const Topology& topology() const { return topo_; }
@@ -551,7 +555,10 @@ class Network : public DeliverySink
      * struct, its own nodes' components, and the wires/calendar slots
      * those nodes send on — all disjoint across shards — while the
      * coordinator touches shards only in the sequential phases on the
-     * other side of the cycle barrier. Cache-line aligned so adjacent
+     * other side of the cycle barrier. The coordinator always steps
+     * shard 0 itself, so its own phases (scan sweeps, fast-forward,
+     * faults, telemetry, boundary drain, barrier wait) book into
+     * shard 0's counters and profile. Cache-line aligned so adjacent
      * shards' hot cursors never false-share.
      */
     struct alignas(64) Shard
@@ -581,10 +588,10 @@ class Network : public DeliverySink
         std::vector<std::tuple<NodeId, PortId, VcId>>
             pending_unroutable;
 
-        /** Cumulative step counts (merged on kernelCounters() read). */
+        /** Cumulative work counts (summed on kernelCounters() read). */
         KernelCounters counters;
 
-        /** Per-shard step-phase wall-clock (merged on read). */
+        /** Per-shard phase wall-clock (summed on read). */
         KernelProfile profile;
 
         /** Flits this shard's components progressed this cycle;
@@ -599,14 +606,14 @@ class Network : public DeliverySink
          *  subtracted from occupancy_ at the barrier. */
         std::size_t ejected_flits = 0;
 
-        /** Deliveries completed by this shard's worker this cycle;
-         *  folded into the global delivered counters at the barrier. */
+        /** Deliveries to this shard's nodes this cycle; folded into
+         *  the global delivered counters at the barrier. */
         std::uint64_t delivered_total = 0;
         std::uint64_t delivered_measured = 0;
 
         /** Descriptors of messages delivered this cycle, released by
-         *  the coordinator at the barrier (MessagePool frees are
-         *  sequential-phase only). */
+         *  the coordinator at the barrier under every kernel
+         *  (MessagePool frees are sequential-phase only). */
         std::vector<MsgRef> pending_release;
     };
 
@@ -653,13 +660,13 @@ class Network : public DeliverySink
     void buildShards();
 
     // Shared per-event delivery (tracer + hand-off + activation) at
-    // cycle now_. Side effects are charged to `sh` (the sender's
-    // shard), never to shared state.
+    // cycle now_. An ejection's flit count is charged to `sh` (the
+    // sender's shard, which owns the ejecting NIC), never to shared
+    // state.
     void deliverFlitWire(Shard& sh, NodeId id, PortId p,
                          const WireFlit& wf);
-    void deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc);
-    void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf);
+    void deliverCreditWire(NodeId id, PortId p, const WireCredit& wc);
+    void deliverInjectWire(NodeId id, const WireFlit& wf);
 
     /** Deliver all wire traffic due now from senders in [begin, end),
      *  in canonical order (scan sweep). */
@@ -669,10 +676,16 @@ class Network : public DeliverySink
      *  dispatch shared by every bucket walk). */
     void deliverKey(Shard& sh, std::int32_t key);
 
+    /** Sort `keys` and deliver each distinct one in ascending (=
+     *  canonical) order, then clear them: the walk shared by the
+     *  sparse intra drain and the boundary drain. */
+    void deliverSortedKeys(Shard& sh, std::vector<std::int32_t>& keys);
+
     /** Deliver a shard's due intra-shard events, in canonical order
      *  within the shard: the sorted-bucket walk when sparse, the range
      *  sweep when the bucket saturates its shard. Runs on the shard's
-     *  own stepping thread (the caller's, for shard 0). */
+     *  own stepping thread (the caller's, for shard 0 and for every
+     *  shard of a traced run). */
     void drainShardIntra(Shard& sh);
 
     /** Deliver a shard's due boundary-crossing events. Coordinator
@@ -680,17 +693,12 @@ class Network : public DeliverySink
      *  order restricted to boundary events. */
     void drainShardBoundary(Shard& sh);
 
-    /** Tracer fallback: deliver a shard's full due bucket (intra and
-     *  boundary merged back into global canonical order) on the
-     *  coordinator — a shared tracer stream cannot be written from
-     *  worker threads. */
-    void drainShardSerial(Shard& sh);
-
     /** One cycle's delivery and stepping, before step() merges the
      *  shard deltas and advances the clock. stepScan sweeps every wire
      *  and component; stepSharded (Active and Parallel) runs the
      *  coordinator boundary drain, then stepShardCycle over the shards
-     *  (inline when there is one) up to the barrier. */
+     *  up to the barrier — inline, one after another, when there is
+     *  one shard or a tracer is attached. */
     void stepScan();
     void stepSharded();
 
@@ -768,8 +776,8 @@ class Network : public DeliverySink
     std::vector<RingBuffer<WireFlit>> inject_wires_;
 
     // Event-driven kernel state (Active = one shard, Parallel = one
-    // shard per worker; Scan keeps a single inert shard so observers
-    // and merge paths are uniform).
+    // shard per worker; Scan sweeps a single shard whose calendar
+    // stays empty, and books into it like the other kernels).
     std::int32_t key_stride_ = 0; //!< wire keys per node (2*ports + 1)
     std::size_t now_slot_ = 0; //!< calendar[now_ % width], div-free
     std::vector<Shard> shards_;
@@ -793,11 +801,6 @@ class Network : public DeliverySink
     /** First exception each shard's cycle raised (rethrown in shard
      *  order after the barrier; slots reset on throw). */
     std::vector<std::exception_ptr> shard_errors_;
-    /** The stepping thread's own shard while inside stepShardCycle;
-     *  routes messageDelivered side effects to shard-local deltas.
-     *  Null on the coordinator's sequential phases (scan, purges,
-     *  tracer drains). */
-    static thread_local Shard* tls_shard_;
     std::vector<std::uint8_t> router_active_;
     std::vector<std::uint8_t> nic_active_;
     /** Pending wake cycle per NIC (kNeverCycle = none); entries in a
@@ -805,9 +808,6 @@ class Network : public DeliverySink
      *  skipped. Only the owning shard's thread touches its nodes'
      *  entries during stepping. */
     std::vector<Cycle> nic_wake_at_;
-    /** Coordinator counters: wire deliveries and fast-forwards (the
-     *  sequential phases); scan-kernel step counts also land here. */
-    KernelCounters counters_;
 
     // Fault-event state. fault_events_ is the validated schedule in
     // order; next_fault_ and next_reconfig_ are cursors, and the whole
@@ -852,9 +852,8 @@ class Network : public DeliverySink
     Cycle next_telemetry_at_ = kNeverCycle;
     TelemetryBuffer* telemetry_buffer_ = nullptr;
 
-    // Wall-clock phase profiling (setProfiling / kernelProfile).
+    /** Wall-clock phase profiling on/off (timers live per shard). */
     bool profiling_ = false;
-    KernelProfile profile_;
 };
 
 } // namespace lapses

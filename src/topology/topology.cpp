@@ -447,7 +447,9 @@ Topology::portName(PortId p) const
         return "L";
     if (p == kInvalidPort)
         return "?";
-    return "p" + std::to_string(static_cast<int>(p));
+    std::string name = "p";
+    name += std::to_string(static_cast<int>(p));
+    return name;
 }
 
 } // namespace lapses

@@ -33,44 +33,57 @@ TEST(Config, DefaultsMatchPaperTable2)
 
 TEST(Config, ValidateRejectsBadValues)
 {
-    SimConfig cfg;
-    cfg.vcsPerPort = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.msgLen = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.normalizedLoad = 0.0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.bufferDepth = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.measureMessages = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.radices.clear();
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    // Each case starts from a fresh default config.
+    {
+        SimConfig cfg;
+        cfg.vcsPerPort = 0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.msgLen = 0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.normalizedLoad = 0.0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.bufferDepth = 0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.measureMessages = 0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.radices.clear();
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
 }
 
 TEST(Config, ValidateRejectsBadEscapeVcs)
 {
-    SimConfig cfg;
-    cfg.escapeVcs = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.escapeVcs = 4; // == vcsPerPort: no adaptive VC left
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = SimConfig{};
-    cfg.escapeVcs = 2;
-    EXPECT_NO_THROW(cfg.validate());
+    // Each case starts from a fresh default config.
+    {
+        SimConfig cfg;
+        cfg.escapeVcs = 0;
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.escapeVcs = 4; // == vcsPerPort: no adaptive VC left
+        EXPECT_THROW(cfg.validate(), ConfigError);
+    }
+    {
+        SimConfig cfg;
+        cfg.escapeVcs = 2;
+        EXPECT_NO_THROW(cfg.validate());
+    }
 }
 
 TEST(Config, RouterModelNames)

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/simulation.hpp"
 
 namespace lapses
@@ -145,6 +148,52 @@ TEST(Kernel, ScanKernelNeverFastForwards)
     EXPECT_EQ(c.fastForwardedCycles, 0u);
     EXPECT_EQ(c.nicSteps, 5000u * n);
     EXPECT_EQ(c.routerSteps, 5000u * n);
+}
+
+TEST(Kernel, CountersAreTheSumOfShardCounters)
+{
+    // kernelCounters() is a plain field-wise sum over the shards: the
+    // coordinator's own work (the scan sweep, idle fast-forward) books
+    // into shard 0, so --profile's per-shard lines add up to its
+    // totals under every kernel. The load is low enough that the
+    // event-driven kernels fast-forward.
+    const std::pair<KernelKind, unsigned> variants[] = {
+        {KernelKind::Scan, 1},
+        {KernelKind::Active, 1},
+        {KernelKind::Parallel, 4},
+    };
+    for (const auto& [kernel, jobs] : variants) {
+        const std::string name = kernelKindName(kernel);
+        SimConfig cfg = kernelBase();
+        cfg.normalizedLoad = 0.01;
+        cfg.kernel = kernel;
+        cfg.intraJobs = jobs;
+        Simulation sim(cfg);
+        sim.stepCycles(20000);
+        const Network& net = sim.network();
+        ASSERT_EQ(net.shardCount(), jobs) << name;
+
+        Network::KernelCounters sum;
+        for (std::size_t s = 0; s < net.shardCount(); ++s) {
+            const Network::KernelCounters& c = net.shardCounters(s);
+            sum.nicSteps += c.nicSteps;
+            sum.routerSteps += c.routerSteps;
+            sum.wireEventsDelivered += c.wireEventsDelivered;
+            sum.fastForwardedCycles += c.fastForwardedCycles;
+        }
+        const Network::KernelCounters total = net.kernelCounters();
+        EXPECT_EQ(total.nicSteps, sum.nicSteps) << name;
+        EXPECT_EQ(total.routerSteps, sum.routerSteps) << name;
+        EXPECT_EQ(total.wireEventsDelivered, sum.wireEventsDelivered)
+            << name;
+        EXPECT_EQ(total.fastForwardedCycles, sum.fastForwardedCycles)
+            << name;
+        EXPECT_GT(total.routerSteps, 0u) << name;
+        EXPECT_GT(total.wireEventsDelivered, 0u) << name;
+        if (kernel != KernelKind::Scan) {
+            EXPECT_GT(total.fastForwardedCycles, 0u) << name;
+        }
+    }
 }
 
 TEST(Kernel, DrainCompletesInEventBoundedWork)

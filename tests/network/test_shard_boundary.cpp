@@ -27,11 +27,13 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/simulation.hpp"
 #include "network/network.hpp"
+#include "network/tracer.hpp"
 #include "routing/algorithm_factory.hpp"
 #include "tables/table_factory.hpp"
 #include "telemetry/telemetry.hpp"
@@ -389,6 +391,78 @@ TEST(ShardBoundary, TelemetryWindowsStayByteIdentical)
     sharded_buf.writeJsonl(sharded_jsonl);
     EXPECT_EQ(sharded_jsonl.str(), oracle_jsonl.str());
     expectSameDeliveryStreams(sharded, oracle, "telemetry");
+}
+
+/** What a traced run leaves behind: the span JSONL stream, and the
+ *  ring's events sorted into a canonical order (within one cycle a
+ *  sharded run records boundary arrivals before intra-shard ones). */
+struct TracedRun
+{
+    std::string spans;
+    std::vector<std::tuple<Cycle, int, NodeId, PortId, MessageId,
+                           std::uint16_t, int>>
+        events;
+    std::uint64_t recorded = 0;
+};
+
+TracedRun
+runTraced(KernelKind kernel, std::vector<NodeId> cuts, Cycle link_delay)
+{
+    RigOpts opts;
+    opts.linkDelay = link_delay;
+    const std::size_t shards = cuts.size() + 1;
+    NetRig rig({4, 4}, kernel, std::move(cuts), 0.3, 2024, opts);
+    EXPECT_EQ(rig.net->shardCount(), shards);
+    std::ostringstream spans; // outlives the tracer that writes it
+    FlitTracer tracer(std::size_t{1} << 17);
+    tracer.enableSpanExport(spans, 1, 5);
+    rig.net->setTracer(&tracer);
+    while (rig.net->now() < 1200)
+        rig.net->stepUntil(1200);
+    rig.net->setTracer(nullptr);
+
+    TracedRun run;
+    run.spans = spans.str();
+    run.recorded = tracer.recorded();
+    // The ring must hold the whole run, or the retained window would
+    // depend on the within-cycle order.
+    EXPECT_EQ(tracer.size(), run.recorded);
+    for (const TraceEvent& ev : tracer.events()) {
+        run.events.emplace_back(ev.cycle, static_cast<int>(ev.kind),
+                                ev.node, ev.port, ev.msg, ev.seq,
+                                static_cast<int>(ev.type));
+    }
+    std::sort(run.events.begin(), run.events.end());
+    return run;
+}
+
+void
+expectSameTrace(const TracedRun& run, const TracedRun& oracle,
+                const std::string& name)
+{
+    EXPECT_EQ(run.spans, oracle.spans) << name;
+    EXPECT_EQ(run.recorded, oracle.recorded) << name;
+    EXPECT_TRUE(run.events == oracle.events) << name;
+}
+
+TEST(ShardBoundary, TracedRunsEmitIdenticalSpans)
+{
+    // A traced network steps its shards in turn on the calling thread
+    // through the same boundary and intra drains as an untraced run.
+    // Its span stream must come out byte-identical to the scan
+    // oracle's, on unit and on deep wires, and its ring must hold the
+    // same events.
+    const std::vector<NodeId> four = {4, 8, 12};
+    const TracedRun oracle = runTraced(KernelKind::Scan, {}, 1);
+    ASSERT_FALSE(oracle.spans.empty());
+    expectSameTrace(runTraced(KernelKind::Active, {}, 1), oracle,
+                    "active");
+    expectSameTrace(runTraced(KernelKind::Parallel, four, 1), oracle,
+                    "parallel/4");
+    const TracedRun deep = runTraced(KernelKind::Scan, {}, 3);
+    ASSERT_FALSE(deep.spans.empty());
+    expectSameTrace(runTraced(KernelKind::Parallel, four, 3), deep,
+                    "parallel/4 linkDelay 3");
 }
 
 TEST(ShardBoundary, InvalidBoundariesRefuse)

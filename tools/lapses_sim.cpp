@@ -442,8 +442,7 @@ main(int argc, char** argv)
                     // intra delivery are the parallel portion (their
                     // seconds sum worker CPU time across shards). One
                     // shard has no parallel portion to compare.
-                    const double serial = prof.wireDrainSeconds +
-                                          prof.boundaryDrainSeconds +
+                    const double serial = prof.boundaryDrainSeconds +
                                           prof.barrierWaitSeconds +
                                           prof.faultSeconds +
                                           prof.telemetrySeconds;
