@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "exp/thread_pool.hpp"
@@ -104,7 +105,7 @@ Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
     const Cycle due = net.now_ + 1 + net.params_.linkDelay;
     net.flit_wires_[w].push({flit, out_vc, due});
     net.scheduleWire(*sh_, net.flitWireKey(id_, out_port), due,
-                     net.boundary_wire_[w] != 0);
+                     net.wire_peer_[w].boundary != 0);
 }
 
 void
@@ -115,7 +116,7 @@ Network::RouterEnv::creditOut(PortId in_port, VcId vc)
     const Cycle due = net.now_ + 1 + net.params_.linkDelay;
     net.credit_wires_[w].push({vc, due});
     net.scheduleWire(*sh_, net.creditWireKey(id_, in_port), due,
-                     net.boundary_wire_[w] != 0);
+                     net.wire_peer_[w].boundary != 0);
 }
 
 void
@@ -227,8 +228,23 @@ Network::Network(const Topology& topo, const NetworkParams& params,
 
     // Event-driven kernel bookkeeping. All events pushed at cycle t
     // are due t + linkDelay + 1, so linkDelay + 2 calendar buckets
-    // make due % width injective over the in-flight window.
-    key_stride_ = 2 * ports + 1;
+    // make due % width injective over the in-flight window. A node's
+    // 2 * ports + 1 wire keys are padded to a power of two, so a key
+    // decodes with a shift and a mask.
+    key_shift_ = std::bit_width(static_cast<unsigned>(2 * ports));
+    key_mask_ = (std::int32_t{1} << key_shift_) - 1;
+    LAPSES_ASSERT_MSG((std::int64_t{n} << key_shift_) <=
+                          std::numeric_limits<std::int32_t>::max(),
+                      "wire keys overflow int32_t");
+    wire_peer_.resize(wire_count);
+    for (NodeId id = 0; id < n; ++id) {
+        for (PortId p = 1; p < ports; ++p) {
+            WirePeer& peer = wire_peer_[wireIndex(id, p)];
+            peer.node = topo.neighbor(id, p);
+            if (peer.node != kInvalidNode)
+                peer.port = topo.peerPort(id, p);
+        }
+    }
     router_active_.assign(static_cast<std::size_t>(n), 0);
     nic_active_.assign(static_cast<std::size_t>(n), 0);
     nic_wake_at_.assign(static_cast<std::size_t>(n), kNeverCycle);
@@ -299,7 +315,17 @@ Network::buildShards()
         Shard& sh = shards_[s];
         sh.begin = s == 0 ? 0 : bounds[s - 1];
         sh.end = s + 1 == s_count ? n : bounds[s];
+        sh.key_base = sh.begin << key_shift_;
+        // Calendar bitsets span the shard's own keys; only a sharded
+        // network has boundary wires to mark.
+        const auto keys = static_cast<std::size_t>(sh.end - sh.begin)
+                          << key_shift_;
         sh.calendar.resize(width);
+        for (CalendarBucket& bucket : sh.calendar) {
+            bucket.intra.resize(keys);
+            if (s_count > 1)
+                bucket.boundary.resize(keys);
+        }
         for (NodeId id = sh.begin; id < sh.end; ++id)
             shard_of_[static_cast<std::size_t>(id)] =
                 static_cast<std::uint32_t>(s);
@@ -319,23 +345,16 @@ Network::buildShards()
             activateNic(id);
     }
     // Classify every wire once: flit and credit wires at (node, port)
-    // both connect to neighbor(node, port), so one table serves both
-    // kinds. Port 0 (ejection / NIC credit) and injection wires stay
-    // with their own node, hence intra-shard by construction.
-    boundary_wire_.assign(static_cast<std::size_t>(n) *
-                              static_cast<std::size_t>(
-                                  topo_.numPorts()),
-                          0);
-    if (s_count > 1) {
-        for (NodeId id = 0; id < n; ++id) {
-            for (PortId p = 1; p < topo_.numPorts(); ++p) {
-                const NodeId peer = topo_.neighbor(id, p);
-                if (peer != kInvalidNode &&
-                    shard_of_[static_cast<std::size_t>(peer)] !=
-                        shard_of_[static_cast<std::size_t>(id)]) {
-                    boundary_wire_[wireIndex(id, p)] = 1;
-                }
-            }
+    // both connect to the same peer, so one flag serves both kinds.
+    // Port 0 (ejection / NIC credit) and injection wires stay with
+    // their own node, hence intra-shard by construction.
+    for (NodeId id = 0; id < n; ++id) {
+        for (PortId p = 1; p < topo_.numPorts(); ++p) {
+            WirePeer& peer = wire_peer_[wireIndex(id, p)];
+            peer.boundary =
+                peer.node != kInvalidNode &&
+                shard_of_[static_cast<std::size_t>(peer.node)] !=
+                    shard_of_[static_cast<std::size_t>(id)];
         }
     }
     // Bind the env adapters to their owning shards: emissions land in
@@ -396,7 +415,8 @@ Network::scheduleWire(Shard& sh, std::int32_t key, Cycle due,
         now_slot_ == 0 ? sh.calendar.size() - 1 : now_slot_ - 1;
     CalendarBucket& bucket = sh.calendar[slot];
     bucket.due = due;
-    (boundary ? bucket.boundary_keys : bucket.keys).push_back(key);
+    (boundary ? bucket.boundary : bucket.intra)
+        .insert(static_cast<std::size_t>(key - sh.key_base));
 }
 
 void
@@ -438,7 +458,7 @@ Network::nextEventCycle()
     Cycle next = kNeverCycle;
     for (Shard& sh : shards_) {
         for (const CalendarBucket& bucket : sh.calendar) {
-            if (!bucket.keys.empty() || !bucket.boundary_keys.empty())
+            if (!bucket.intra.empty() || !bucket.boundary.empty())
                 next = std::min(next, bucket.due);
         }
         // Drop stale wake entries (NIC re-activated or rescheduled
@@ -494,18 +514,17 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
             activateNic(id);
         return;
     }
-    const NodeId peer = topo_.neighbor(id, p);
-    LAPSES_ASSERT(peer != kInvalidNode);
+    const WirePeer& peer = wire_peer_[wireIndex(id, p)];
+    LAPSES_ASSERT(peer.node != kInvalidNode);
     if (tracer_ != nullptr) {
-        tracer_->record({now_, TraceEvent::Kind::HopArrive, peer,
-                         topo_.peerPort(id, p),
-                         pool_[wf.flit.msg].id, wf.flit.seq,
+        tracer_->record({now_, TraceEvent::Kind::HopArrive, peer.node,
+                         peer.port, pool_[wf.flit.msg].id, wf.flit.seq,
                          wf.flit.type});
     }
-    routers_[static_cast<std::size_t>(peer)].acceptFlit(
-        topo_.peerPort(id, p), wf.vc, wf.flit, now_);
+    routers_[static_cast<std::size_t>(peer.node)].acceptFlit(
+        peer.port, wf.vc, wf.flit, now_);
     if (kernel_ != KernelKind::Scan)
-        activateRouter(peer);
+        activateRouter(peer.node);
 }
 
 void
@@ -517,12 +536,12 @@ Network::deliverCreditWire(NodeId id, PortId p, const WireCredit& wc)
             activateNic(id);
         return;
     }
-    const NodeId peer = topo_.neighbor(id, p);
-    LAPSES_ASSERT(peer != kInvalidNode);
-    routers_[static_cast<std::size_t>(peer)].acceptCredit(
-        topo_.peerPort(id, p), wc.vc);
+    const WirePeer& peer = wire_peer_[wireIndex(id, p)];
+    LAPSES_ASSERT(peer.node != kInvalidNode);
+    routers_[static_cast<std::size_t>(peer.node)].acceptCredit(peer.port,
+                                                               wc.vc);
     if (kernel_ != KernelKind::Scan)
-        activateRouter(peer);
+        activateRouter(peer.node);
 }
 
 void
@@ -544,10 +563,6 @@ Network::deliverInjectWire(NodeId id, const WireFlit& wf)
 void
 Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end)
 {
-    // Worker-safe: the coordinator drained every boundary event due
-    // this cycle before the fan-out, so on these senders' boundary
-    // wires the due check finds nothing and only intra-shard events
-    // pop.
     const int ports = topo_.numPorts();
     for (NodeId id = begin; id < end; ++id) {
         // Router output wires -> neighbor router input / local NIC.
@@ -576,24 +591,23 @@ Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end)
 void
 Network::deliverKey(Shard& sh, std::int32_t key)
 {
-    const std::int32_t inject_slot = key_stride_ - 1;
-    const auto id = static_cast<NodeId>(key / key_stride_);
-    const std::int32_t slot = key % key_stride_;
-    if (slot == inject_slot) {
+    const auto id = static_cast<NodeId>(key >> key_shift_);
+    const std::int32_t slot = key & key_mask_;
+    if (slot == key_mask_) {
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
         while (!iw.empty() && iw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
             deliverInjectWire(id, iw.pop());
         }
-    } else if (slot % 2 == 0) {
-        const auto p = static_cast<PortId>(slot / 2);
+    } else if ((slot & 1) == 0) {
+        const auto p = static_cast<PortId>(slot >> 1);
         auto& fw = flit_wires_[wireIndex(id, p)];
         while (!fw.empty() && fw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
             deliverFlitWire(sh, id, p, fw.pop());
         }
     } else {
-        const auto p = static_cast<PortId>(slot / 2);
+        const auto p = static_cast<PortId>(slot >> 1);
         auto& cw = credit_wires_[wireIndex(id, p)];
         while (!cw.empty() && cw.front().due <= now_) {
             ++sh.counters.wireEventsDelivered;
@@ -603,28 +617,10 @@ Network::deliverKey(Shard& sh, std::int32_t key)
 }
 
 void
-Network::deliverSortedKeys(Shard& sh, std::vector<std::int32_t>& keys)
-{
-    // Ascending wire-key order = the scan kernel's delivery order
-    // restricted to these keys, so every receiver sees its arrivals in
-    // the canonical order. A wire carrying several same-cycle events
-    // appears once per event and is drained on its first occurrence.
-    std::sort(keys.begin(), keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : keys) {
-        if (key == prev_key)
-            continue;
-        prev_key = key;
-        deliverKey(sh, key);
-    }
-    keys.clear();
-}
-
-void
 Network::drainShardIntra(Shard& sh)
 {
     CalendarBucket& bucket = sh.calendar[now_slot_];
-    if (bucket.keys.empty())
+    if (bucket.intra.empty())
         return;
     LAPSES_ASSERT(bucket.due == now_);
     // With one shard this is the whole wire-delivery phase; with
@@ -634,27 +630,20 @@ Network::drainShardIntra(Shard& sh)
                            shards_.size() == 1
                                ? sh.profile.wireDrainSeconds
                                : sh.profile.intraDeliverySeconds);
-    if (bucket.keys.size() >=
-        static_cast<std::size_t>(sh.end - sh.begin)) {
-        // Saturated regime: most of the shard's wires carry traffic,
-        // so a range sweep (which visits wires in canonical order by
-        // construction) is cheaper than sorting the bucket. It
-        // delivers exactly this bucket's events — everything else in
-        // flight is due later, and other shards' events live in their
-        // own calendars.
-        bucket.keys.clear();
-        deliverWiresRange(sh, sh.begin, sh.end);
-        return;
-    }
-    // Receivers of intra-shard events live in this shard only.
-    deliverSortedKeys(sh, bucket.keys);
+    // Ascending key order is the scan kernel's delivery order
+    // restricted to this shard's marked wires, and the receivers of
+    // intra-shard events live in this shard only. A marked wire is
+    // drained of everything due now, however many events it carries.
+    bucket.intra.drain([&](std::size_t bit) {
+        deliverKey(sh, sh.key_base + static_cast<std::int32_t>(bit));
+    });
 }
 
 void
 Network::drainShardBoundary(Shard& sh)
 {
     CalendarBucket& bucket = sh.calendar[now_slot_];
-    if (bucket.boundary_keys.empty())
+    if (bucket.boundary.empty())
         return;
     LAPSES_ASSERT(bucket.due == now_);
     // Ascending keys within the shard + ascending shard order at the
@@ -663,7 +652,9 @@ Network::drainShardBoundary(Shard& sh)
     // (acceptFlit/acceptCredit on disjoint (port, vc) slots plus an
     // idempotent activation), so their relative order against another
     // shard's intra-shard deliveries is unobservable.
-    deliverSortedKeys(sh, bucket.boundary_keys);
+    bucket.boundary.drain([&](std::size_t bit) {
+        deliverKey(sh, sh.key_base + static_cast<std::int32_t>(bit));
+    });
 }
 
 void
@@ -1016,12 +1007,12 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
                         activateNic(id);
                     return;
                 }
-                const NodeId up = topo_.neighbor(id, in_port);
-                LAPSES_ASSERT(up != kInvalidNode);
-                routers_[static_cast<std::size_t>(up)].acceptCredit(
-                    topo_.peerPort(id, in_port), vc);
+                const WirePeer& up = wire_peer_[wireIndex(id, in_port)];
+                LAPSES_ASSERT(up.node != kInvalidNode);
+                routers_[static_cast<std::size_t>(up.node)].acceptCredit(
+                    up.port, vc);
                 if (kernel_ != KernelKind::Scan)
-                    activateRouter(up);
+                    activateRouter(up.node);
             });
     }
 
@@ -1099,6 +1090,9 @@ Network::processPendingUnroutable()
     }
     if (!any)
         return;
+    // Unroutable purges are fault work: book them with the fault
+    // events and reconfigurations.
+    ScopedPhaseTimer timer(profiling_, shards_[0].profile.faultSeconds);
     // Merge the shards' reports and sort by (node, port, vc): the
     // processing order is then independent of which thread collected
     // which report — and of the kernels' stepping orders.

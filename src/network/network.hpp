@@ -39,6 +39,8 @@
 #ifndef LAPSES_NETWORK_NETWORK_HPP
 #define LAPSES_NETWORK_NETWORK_HPP
 
+#include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <exception>
 #include <memory>
@@ -528,23 +530,86 @@ class Network : public DeliverySink
     // linkDelay + 2 buckets indexed by due % width, each bucket holds
     // events of exactly one due at a time, and bucket[now % width] is
     // precisely the set of wires with traffic due this cycle. A bucket
-    // entry is a wire key whose ascending order reproduces the scan
+    // marks wire keys whose ascending order reproduces the scan
     // kernel's delivery order (per node: flit wire, credit wire per
     // port, then the injection wire), which keeps the stats/tracer
     // stream byte-identical.
 
-    /** One calendar slot: the wires (possibly repeated, one entry per
-     *  event) with traffic due at cycles congruent to this slot.
-     *  Events are split at schedule time by the receiver's owning
-     *  shard: `keys` stay within the sender's shard and are drained by
-     *  its own worker, `boundary_keys` cross a shard cut and are
-     *  drained by the coordinator's canonical merge. Both halves of a
+    /**
+     * A set of wire keys over one shard's key range: a bitset indexed
+     * by key - Shard::key_base, plus a summary with one bit per word
+     * (set iff the word is nonzero). Insertion sets two bits and is
+     * idempotent, so a wire carrying several events in one slot needs
+     * no de-duplication; a drain walks the summary, so it costs the
+     * pending wires plus one load per 4096 keys.
+     */
+    struct WireKeySet
+    {
+        std::vector<std::uint64_t> words;
+        std::vector<std::uint64_t> summary;
+
+        /** Size for indices [0, keys), all clear. */
+        void
+        resize(std::size_t keys)
+        {
+            words.assign((keys + 63) / 64, 0);
+            summary.assign((words.size() + 63) / 64, 0);
+        }
+
+        void
+        insert(std::size_t key)
+        {
+            words[key / 64] |= std::uint64_t{1} << (key % 64);
+            summary[key / 4096] |= std::uint64_t{1} << (key / 64 % 64);
+        }
+
+        bool
+        empty() const
+        {
+            return std::all_of(summary.begin(), summary.end(),
+                               [](std::uint64_t s) { return s == 0; });
+        }
+
+        /** Call fn(index) for every member in ascending order,
+         *  clearing the set. Each word is cleared before its members are
+         *  visited, so fn must not insert into this set (deliveries
+         *  never do: they schedule into the next slot). */
+        template <typename Fn>
+        void
+        drain(Fn&& fn)
+        {
+            for (std::size_t s = 0; s < summary.size(); ++s) {
+                std::uint64_t sm = summary[s];
+                summary[s] = 0;
+                while (sm != 0) {
+                    const std::size_t w =
+                        s * 64 +
+                        static_cast<std::size_t>(std::countr_zero(sm));
+                    sm &= sm - 1;
+                    std::uint64_t bits = words[w];
+                    words[w] = 0;
+                    while (bits != 0) {
+                        fn(w * 64 + static_cast<std::size_t>(
+                                        std::countr_zero(bits)));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    };
+
+    /** One calendar slot: the wires with traffic due at cycles
+     *  congruent to this slot. Events are split at schedule time by the
+     *  receiver's owning shard: `intra` wires stay within the sender's
+     *  shard and are drained by its own worker, `boundary` wires cross
+     *  a shard cut and are drained by the coordinator's canonical merge
+     *  (sized only when there are several shards). Both halves of a
      *  slot always share the same due cycle. */
     struct CalendarBucket
     {
         Cycle due = 0;
-        std::vector<std::int32_t> keys;
-        std::vector<std::int32_t> boundary_keys;
+        WireKeySet intra;
+        WireKeySet boundary;
     };
 
     /**
@@ -565,6 +630,7 @@ class Network : public DeliverySink
     {
         NodeId begin = 0; //!< first owned node
         NodeId end = 0;   //!< one past the last owned node
+        std::int32_t key_base = 0; //!< wire key of begin's first wire
 
         /** Calendar of wire events *sent by* this shard's nodes.
          *  Concatenating the shards' due buckets in shard order
@@ -617,10 +683,13 @@ class Network : public DeliverySink
         std::vector<MsgRef> pending_release;
     };
 
+    // Wire keys: node << key_shift_ plus a slot — 2 * port for the
+    // flit wire, 2 * port + 1 for the credit wire, and the last slot
+    // (key_mask_) for the injection wire.
     std::int32_t
     flitWireKey(NodeId node, PortId port) const
     {
-        return static_cast<std::int32_t>(node) * key_stride_ +
+        return (static_cast<std::int32_t>(node) << key_shift_) +
                2 * static_cast<std::int32_t>(port);
     }
     std::int32_t
@@ -631,13 +700,14 @@ class Network : public DeliverySink
     std::int32_t
     injectWireKey(NodeId node) const
     {
-        return static_cast<std::int32_t>(node) * key_stride_ +
-               key_stride_ - 1;
+        return (static_cast<std::int32_t>(node) << key_shift_) +
+               key_mask_;
     }
 
     /** Register a pushed wire event with the sender's shard calendar,
      *  pre-classified as intra-shard or boundary-crossing (the env
-     *  adapters read boundary_wire_; no division on the hot path). */
+     *  adapters read WirePeer::boundary; no division on the hot
+     *  path). */
     void scheduleWire(Shard& sh, std::int32_t key, Cycle due,
                       bool boundary);
 
@@ -669,23 +739,17 @@ class Network : public DeliverySink
     void deliverInjectWire(NodeId id, const WireFlit& wf);
 
     /** Deliver all wire traffic due now from senders in [begin, end),
-     *  in canonical order (scan sweep). */
+     *  in canonical order (the scan oracle's sweep). */
     void deliverWiresRange(Shard& sh, NodeId begin, NodeId end);
 
     /** Deliver one calendar key's due events (flit/credit/inject
-     *  dispatch shared by every bucket walk). */
+     *  dispatch shared by both bucket walks). */
     void deliverKey(Shard& sh, std::int32_t key);
 
-    /** Sort `keys` and deliver each distinct one in ascending (=
-     *  canonical) order, then clear them: the walk shared by the
-     *  sparse intra drain and the boundary drain. */
-    void deliverSortedKeys(Shard& sh, std::vector<std::int32_t>& keys);
-
-    /** Deliver a shard's due intra-shard events, in canonical order
-     *  within the shard: the sorted-bucket walk when sparse, the range
-     *  sweep when the bucket saturates its shard. Runs on the shard's
-     *  own stepping thread (the caller's, for shard 0 and for every
-     *  shard of a traced run). */
+    /** Deliver a shard's due intra-shard events by walking its bucket
+     *  in ascending (= canonical) key order. Runs on the shard's own
+     *  stepping thread (the caller's, for shard 0 and for every shard
+     *  of a traced run). */
     void drainShardIntra(Shard& sh);
 
     /** Deliver a shard's due boundary-crossing events. Coordinator
@@ -775,19 +839,31 @@ class Network : public DeliverySink
     /** NIC -> router injection wires, one per node. */
     std::vector<RingBuffer<WireFlit>> inject_wires_;
 
+    /** The far end of a router's flit wire on (node, port), which is
+     *  also where the credit wire on (node, port) delivers. */
+    struct WirePeer
+    {
+        NodeId node = kInvalidNode; //!< receiving router
+        PortId port = kInvalidPort; //!< its input (or output) port
+        /** 1 iff `node` lives in a different shard than the sender
+         *  (ejection and NIC-credit wires on port 0, like injection
+         *  wires, are always intra-shard). */
+        std::uint8_t boundary = 0;
+    };
+
     // Event-driven kernel state (Active = one shard, Parallel = one
     // shard per worker; Scan sweeps a single shard whose calendar
     // stays empty, and books into it like the other kernels).
-    std::int32_t key_stride_ = 0; //!< wire keys per node (2*ports + 1)
+    int key_shift_ = 0; //!< log2 of the wire keys per node
+    std::int32_t key_mask_ = 0; //!< (1 << key_shift_) - 1
     std::size_t now_slot_ = 0; //!< calendar[now_ % width], div-free
     std::vector<Shard> shards_;
     /** Owning shard per node (all zero unless Parallel). */
     std::vector<std::uint32_t> shard_of_;
-    /** Per wire index: 1 iff the wire's receiver lives in a different
-     *  shard than its sender (injection and ejection/NIC-credit wires
-     *  are always intra-shard). Fixed at construction; read by the env
-     *  adapters to classify emissions with one table load. */
-    std::vector<std::uint8_t> boundary_wire_;
+    /** Receiver per wire index, fixed at construction: delivery and
+     *  purges read it instead of querying the topology, and the env
+     *  adapters classify emissions with one table load. */
+    std::vector<WirePeer> wire_peer_;
     /** Workers for shards 1..S-1 (the caller steps shard 0); owned by
      *  the network so nested campaign parallelism can never deadlock
      *  on a shared pool — each network fans out on its own. */

@@ -459,36 +459,46 @@ std::size_t
 Router::purgeMessage(MsgRef msg,
                      const std::function<void(PortId, VcId)>& credit)
 {
+    // Flits sit only in VCs on the occupancy masks, so removal walks
+    // those; input VCs go in ascending (port, VC) order, the order the
+    // freed slots are credited upstream.
+    const auto is_msg = [msg](const Flit& f) { return f.msg == msg; };
     std::size_t removed = 0;
+    forEachOccupied(in_port_mask_, in_vc_mask_, [&](PortId p, VcId v) {
+        InputVc& ivc = inputs_[static_cast<std::size_t>(p)].vc(v);
+        const std::size_t n = ivc.buffer.removeIf(is_msg);
+        for (std::size_t i = 0; i < n; ++i)
+            credit(p, v);
+        clearIfDrained(in_vc_mask_, in_port_mask_, p, v,
+                       ivc.buffer.empty());
+        removed += n;
+    });
+    forEachOccupied(out_port_mask_, out_vc_mask_, [&](PortId p, VcId v) {
+        OutputVc& ovc = outputs_[static_cast<std::size_t>(p)].vc(v);
+        removed += ovc.buffer.removeIf(is_msg);
+        clearIfDrained(out_vc_mask_, out_port_mask_, p, v,
+                       ovc.buffer.empty());
+    });
+    // A worm can own VCs whose buffers are empty (its flits have moved
+    // on, or not arrived yet), so ownership is released by a plain scan
+    // of every VC. Any output VC an input VC had allocated is released
+    // through its own msg field.
     for (PortId p = 0; p < num_ports_; ++p) {
         InputUnit& in = inputs_[static_cast<std::size_t>(p)];
         OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
         for (VcId v = 0; v < params_.vcsPerPort; ++v) {
             InputVc& ivc = in.vc(v);
-            const std::size_t in_removed = ivc.buffer.removeIf(
-                [msg](const Flit& f) { return f.msg == msg; });
-            for (std::size_t i = 0; i < in_removed; ++i)
-                credit(p, v);
-            clearIfDrained(in_vc_mask_, in_port_mask_, p, v,
-                           ivc.buffer.empty());
             if (ivc.msg == msg) {
-                // Release the VC the worm owned; any output VC it had
-                // allocated is released through its own msg field.
                 ivc.state = RouteState::Idle;
                 ivc.outPort = kInvalidPort;
                 ivc.outVc = kInvalidVc;
                 ivc.msg = kInvalidMsgRef;
             }
             OutputVc& ovc = out.vc(v);
-            const std::size_t out_removed = ovc.buffer.removeIf(
-                [msg](const Flit& f) { return f.msg == msg; });
-            clearIfDrained(out_vc_mask_, out_port_mask_, p, v,
-                           ovc.buffer.empty());
             if (ovc.busy && ovc.msg == msg) {
                 ovc.busy = false;
                 ovc.msg = kInvalidMsgRef;
             }
-            removed += in_removed + out_removed;
         }
     }
     buffered_flits_ -= removed;

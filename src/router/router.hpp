@@ -317,6 +317,29 @@ class Router
     }
 
     /**
+     * Visit every marked (port, VC) of one mask pair as fn(port, vc),
+     * in ascending (port, VC) order. fn may clear the bit it is given
+     * (each port's VC mask is read once, before its VCs are visited).
+     */
+    template <typename Fn>
+    static void
+    forEachOccupied(std::uint64_t port_mask,
+                    const std::vector<std::uint64_t>& vc_masks, Fn&& fn)
+    {
+        while (port_mask != 0) {
+            const auto p =
+                static_cast<PortId>(std::countr_zero(port_mask));
+            port_mask &= port_mask - 1;
+            std::uint64_t vm = vc_masks[static_cast<std::size_t>(p)];
+            while (vm != 0) {
+                const auto v = static_cast<VcId>(std::countr_zero(vm));
+                vm &= vm - 1;
+                fn(p, v);
+            }
+        }
+    }
+
+    /**
      * Visit every occupied input VC as fn(port, vc), in ascending
      * (port, VC) order. That order is load-bearing: it is the order
      * the old exhaustive sweeps raised arbitration requests in, and
@@ -327,18 +350,8 @@ class Router
     void
     forEachOccupiedInput(Fn&& fn) const
     {
-        std::uint64_t pm = in_port_mask_;
-        while (pm != 0) {
-            const auto ip = static_cast<PortId>(std::countr_zero(pm));
-            pm &= pm - 1;
-            std::uint64_t vm =
-                in_vc_mask_[static_cast<std::size_t>(ip)];
-            while (vm != 0) {
-                const auto v = static_cast<VcId>(std::countr_zero(vm));
-                vm &= vm - 1;
-                fn(ip, v);
-            }
-        }
+        forEachOccupied(in_port_mask_, in_vc_mask_,
+                        std::forward<Fn>(fn));
     }
 
     NodeId id_;

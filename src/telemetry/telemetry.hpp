@@ -130,6 +130,9 @@ struct KernelProfile
     double wireDrainSeconds = 0.0;
     double nicStepSeconds = 0.0;
     double routerStepSeconds = 0.0;
+
+    /** Fault events, reconfigurations and the end-of-cycle purges of
+     *  heads reported unroutable. */
     double faultSeconds = 0.0;
     double telemetrySeconds = 0.0;
 

@@ -86,8 +86,8 @@ diffBase()
 }
 
 /** One configuration per catalog entry (the golden-stats catalog),
- *  plus one per injection process, plus fault-schedule and telemetry
- *  variants. */
+ *  plus one per injection process, plus fault-schedule, telemetry and
+ *  calendar-bitset variants. */
 std::vector<std::pair<std::string, SimConfig>>
 diffCases()
 {
@@ -163,6 +163,24 @@ diffCases()
         SimConfig cfg = diffBase();
         cfg.telemetryWindow = window;
         add("telemetry:window" + std::to_string(window), cfg);
+    }
+
+    // Calendar bitset edges. On a 20x20 mesh the active kernel's one
+    // shard marks 400 nodes x 16 wire keys = 100 bitset words, so its
+    // drains walk two summary words. At linkDelay 3 past saturation an
+    // input port is granted on several output ports in one cycle, so
+    // its credit wire carries several credits due in one slot from a
+    // single mark, and every wire holds events for four slots at once.
+    {
+        SimConfig cfg = diffBase();
+        cfg.radices = {20, 20};
+        add("calendar:20x20", cfg);
+    }
+    {
+        SimConfig cfg = diffBase();
+        cfg.linkDelay = 3;
+        cfg.normalizedLoad = 1.3;
+        add("calendar:deep-wire-saturated", cfg);
     }
     return cases;
 }

@@ -9,7 +9,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -197,12 +199,16 @@ TEST(TopologyFabrics, TopologyAxisShardSplitByteIdentical)
 
 /** The irregular test fabric: a 6-ring with two spurs and a chord.
  *  The chord (1:3 <-> 4:3) is redundant, so failing it never cuts the
- *  graph. */
+ *  graph. The file is named after the calling test and the process id:
+ *  `ctest -j` runs each test in its own process, and a shared name
+ *  would let one test truncate the file while another reads it. */
 std::string
 writeIrregularTopo()
 {
     const std::string path =
-        ::testing::TempDir() + "lapses_irregular.topo";
+        ::testing::TempDir() + "lapses_irregular_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        '_' + std::to_string(::getpid()) + ".topo";
     std::ofstream os(path);
     os << "nodes 10\n"
           "ports 5\n"
@@ -258,6 +264,7 @@ TEST(TopologyFabrics, AllTableKindsRouteAndReprogramOnIrregularGraph)
             EXPECT_GE(stats.reconfigurations, 1u) << name;
         }
     }
+    std::remove(path.c_str());
 }
 
 TEST(TopologyFabrics, IrregularFaultedRunByteIdenticalAcrossKernels)
@@ -271,6 +278,7 @@ TEST(TopologyFabrics, IrregularFaultedRunByteIdenticalAcrossKernels)
                         FaultEvent{900, 1, 3, false}};
     base.reconfigLatency = 100;
     expectKernelsAgree(base, "irregular:faulted");
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -206,6 +206,37 @@ TEST(ShardBoundary, RandomizedCutsMatchSequentialDeliveryOrder)
     }
 }
 
+TEST(ShardBoundary, MidWordCutsMatchScanOracle)
+{
+    // Cuts at nodes 5, 27 and 40 of an 8x8 mesh: with 16 wire keys per
+    // node, the shards starting at 5 and 27 begin inside a 64-bit word
+    // of the key space (keys 80 and 432), and the shards' calendar
+    // bitsets hold 1.25, 5.5, 3.25 and 6 words. Per-cycle counters —
+    // wire events included — and the delivery streams must equal the
+    // scan oracle's.
+    const std::vector<int> radices = {8, 8};
+    const std::vector<NodeId> cuts = {5, 27, 40};
+    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 6161);
+    NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 6161);
+    ASSERT_EQ(sharded.net->shardCount(), 4u);
+    for (Cycle t = 0; t < 800; ++t) {
+        oracle.net->step();
+        sharded.net->stepUntil(oracle.net->now());
+        ASSERT_EQ(sharded.net->now(), oracle.net->now());
+        ASSERT_EQ(sharded.net->totalOccupancy(),
+                  oracle.net->totalOccupancy())
+            << " at cycle " << t;
+        ASSERT_EQ(sharded.net->progressCounter(),
+                  oracle.net->progressCounter())
+            << " at cycle " << t;
+        ASSERT_EQ(sharded.net->kernelCounters().wireEventsDelivered,
+                  oracle.net->kernelCounters().wireEventsDelivered)
+            << " at cycle " << t;
+    }
+    expectSameDeliveryStreams(sharded, oracle, "mid-word cuts");
+    EXPECT_GT(oracle.deliveredCount(), 0u);
+}
+
 TEST(ShardBoundary, AdversarialSliverCutsStayLockstep)
 {
     // Three 1-node shards carved off the corner plus the 13-node rest:

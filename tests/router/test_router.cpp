@@ -439,6 +439,74 @@ TEST(OccupiedLists, MatchBufferStateUnderStreaming)
     EXPECT_TRUE(h.router->occupiedInputVcs().empty());
 }
 
+TEST(OccupiedLists, PurgeReleasesWormWithEmptyBuffers)
+{
+    // A worm whose head has left but whose body has not arrived owns
+    // an input VC and an output VC with empty buffers — neither is on
+    // an occupancy mask, yet a purge must still release both. A
+    // bystander message must keep its flits and its mask bits.
+    RouterHarness h(/*lookahead=*/false);
+    h.router->acceptFlit(kLocalPort, 0,
+                         h.makeFlit(FlitType::Head, 1, 0, 4), 5);
+    const MsgRef worm = h.last_msg;
+    h.stepRange(5, 9);
+    ASSERT_EQ(h.env.flits.size(), 1u); // the head left at cycle 9
+    const PortId out = h.env.flits[0].port;
+    const VcId out_vc = h.env.flits[0].vc;
+    const InputVc& ivc = h.router->inputUnit(kLocalPort).vc(0);
+    const OutputVc& ovc = h.router->outputUnit(out).vc(out_vc);
+    ASSERT_EQ(ivc.msg, worm);
+    ASSERT_TRUE(ivc.buffer.empty());
+    ASSERT_TRUE(ovc.busy);
+    ASSERT_EQ(ovc.msg, worm);
+    ASSERT_TRUE(ovc.buffer.empty());
+    EXPECT_FALSE(h.router->inputVcOccupied(kLocalPort, 0));
+    EXPECT_FALSE(h.router->outputVcOccupied(out, out_vc));
+
+    h.router->acceptFlit(2, 3, h.makeFlit(FlitType::Head, 0, 0, 4), 10);
+    const MsgRef bystander = h.last_msg;
+
+    int credits = 0;
+    const std::size_t removed = h.router->purgeMessage(
+        worm, [&](PortId, VcId) { ++credits; });
+    EXPECT_EQ(removed, 0u);
+    EXPECT_EQ(credits, 0);
+    EXPECT_EQ(ivc.state, RouteState::Idle);
+    EXPECT_EQ(ivc.msg, kInvalidMsgRef);
+    EXPECT_EQ(ivc.outPort, kInvalidPort);
+    EXPECT_EQ(ivc.outVc, kInvalidVc);
+    EXPECT_FALSE(ovc.busy);
+    EXPECT_EQ(ovc.msg, kInvalidMsgRef);
+
+    EXPECT_EQ(h.router->inputUnit(2).vc(3).buffer.size(), 1u);
+    EXPECT_EQ(h.router->inputUnit(2).vc(3).buffer.front().msg,
+              bystander);
+    EXPECT_EQ(h.router->occupancy(), 1u);
+    for (PortId p = 0; p < h.router->numPorts(); ++p) {
+        for (VcId v = 0; v < h.router->numVcs(); ++v) {
+            EXPECT_EQ(h.router->inputVcOccupied(p, v),
+                      !h.router->inputUnit(p).vc(v).buffer.empty())
+                << "in " << int(p) << '/' << int(v);
+            EXPECT_EQ(h.router->outputVcOccupied(p, v),
+                      !h.router->outputUnit(p).vc(v).buffer.empty())
+                << "out " << int(p) << '/' << int(v);
+        }
+    }
+
+    // Purging the bystander empties the router, crediting its one
+    // input slot upstream.
+    EXPECT_EQ(h.router->purgeMessage(bystander,
+                                     [&](PortId p, VcId v) {
+                                         EXPECT_EQ(p, 2);
+                                         EXPECT_EQ(v, 3);
+                                         ++credits;
+                                     }),
+              1u);
+    EXPECT_EQ(credits, 1);
+    EXPECT_TRUE(h.router->occupiedInputVcs().empty());
+    EXPECT_EQ(h.router->occupancy(), 0u);
+}
+
 TEST(RouterPipelineDeath, LaHeaderWithoutRouteAborts)
 {
     RouterHarness h(/*lookahead=*/true);

@@ -177,6 +177,44 @@ TEST(KernelProfileTest, ActivePhasesAddUpWithinWallTime)
     EXPECT_GT(prof.routerStepSeconds, 0.0);
 }
 
+TEST(KernelProfileTest, FaultPhaseCoversUnroutablePurges)
+{
+    // Economical-storage tables cannot be reprogrammed around a dead
+    // link, so after the reconfiguration window closes, heads whose
+    // every candidate faces the dead link are reported unroutable and
+    // purged at the end of their cycle. That purge is fault work: once
+    // the last scheduled fault event and reconfiguration have run,
+    // faultSeconds must keep growing with the unroutable drops. The
+    // phases stay disjoint, so their sum never exceeds wall time.
+    SimConfig cfg = telemetryBase();
+    cfg.radices = {8, 8};
+    cfg.normalizedLoad = 0.3;
+    cfg.kernel = KernelKind::Active;
+    cfg.table = TableKind::EconomicalStorage;
+    cfg.faultEvents = {FaultEvent{300, 27, 1, true}};
+    cfg.reconfigLatency = 100;
+    cfg.faultPolicy = FaultPolicy::Drop;
+    Simulation sim(cfg);
+    sim.network().setProfiling(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.stepCycles(500); // past the fault (300) and its reconfig (400)
+    ASSERT_EQ(sim.network().faultCounters().linkDownEvents, 1u);
+    ASSERT_EQ(sim.network().faultCounters().reconfigurations, 1u);
+    const double fault_before = sim.network().kernelProfile().faultSeconds;
+    const std::uint64_t dropped_before =
+        sim.network().faultCounters().droppedMessages;
+    sim.stepCycles(3000);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    const KernelProfile prof = sim.network().kernelProfile();
+    ASSERT_GT(sim.network().faultCounters().droppedMessages,
+              dropped_before)
+        << "scenario produced no unroutable purges";
+    EXPECT_GT(prof.faultSeconds, fault_before);
+    EXPECT_LE(prof.totalSeconds(), wall);
+}
+
 TEST(Telemetry, AttachWithoutWindowThrows)
 {
     Simulation sim(telemetryBase()); // telemetryWindow = 0

@@ -414,7 +414,8 @@ main(int argc, char** argv)
                     "  NIC stepping  %9.3f ms  (%llu steps)\n"
                     "  router steps  %9.3f ms  (%llu steps)\n"
                     "  barrier wait  %9.3f ms  (coordinator)\n"
-                    "  fault events  %9.3f ms\n"
+                    "  faults        %9.3f ms  (events, reconfig, "
+                    "unroutable purges)\n"
                     "  telemetry     %9.3f ms\n"
                     "  total timed   %9.3f ms  (%llu cycles "
                     "fast-forwarded)\n",
