@@ -5,12 +5,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <thread>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "core/simulation.hpp"
 #include "exp/campaign.hpp"
 #include "exp/result_sink.hpp"
+#include "exp/thread_pool.hpp"
 
 namespace lapses
 {
@@ -67,15 +68,10 @@ unsigned
 benchJobsFromEnv()
 {
     const char* env = std::getenv("LAPSES_JOBS");
-    unsigned jobs = 0;
-    if (env != nullptr)
-        jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return jobs;
+    if (env == nullptr || *env == '\0')
+        return resolveThreadCount(0);
+    return resolveThreadCount(static_cast<unsigned>(parseCheckedInt(
+        "LAPSES_JOBS", env, 0, std::numeric_limits<int>::max())));
 }
 
 ShardSpec
@@ -92,18 +88,19 @@ runBenchShardFromEnv(const std::vector<CampaignGrid>& grids,
                      const char* tag)
 {
     ShardSpec shard;
+    CampaignOptions opts;
     try {
         shard = benchShardFromEnv();
+        opts.jobs = benchJobsFromEnv();
     } catch (const ConfigError& e) {
-        // Bench main()s have no exception handler; die cleanly.
+        // Bench main()s have no exception handler; die cleanly (also
+        // on a bad LAPSES_JOBS, before the bench reads it again).
         std::fprintf(stderr, "%s: %s\n", tag, e.what());
         std::exit(1);
     }
     if (shard.isAll())
         return false;
 
-    CampaignOptions opts;
-    opts.jobs = benchJobsFromEnv();
     opts.shard = shard;
     opts.progress = [tag, &shard](const RunResult& r) {
         std::fprintf(stderr, "[%s %s] run %zu: %s\n", tag,

@@ -70,7 +70,9 @@ std::uint64_t parseCheckedU64(const std::string& flag,
 /**
  * Worker-thread count for campaign-driven benches: LAPSES_JOBS if set
  * (0 = hardware concurrency), otherwise all hardware threads. Results
- * are byte-identical for any value; this only sets the pace.
+ * are byte-identical for any value; this only sets the pace. Throws
+ * ConfigError naming LAPSES_JOBS on a value that is not a
+ * non-negative integer.
  */
 unsigned benchJobsFromEnv();
 

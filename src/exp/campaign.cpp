@@ -402,12 +402,7 @@ runCampaign(const std::vector<CampaignRun>& runs,
         }
     };
 
-    unsigned jobs = opts.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
+    const unsigned jobs = resolveThreadCount(opts.jobs);
 
     if (jobs == 1 || series_runs.size() <= 1) {
         for (const auto& [series, members] : series_runs)

@@ -35,100 +35,113 @@ parseMesh(const std::string& spec)
     return radices;
 }
 
+/** The value argument of argv[i], advancing i past it. */
+std::string
+nextValue(int argc, char** argv, int& i)
+{
+    if (i + 1 >= argc)
+        throw ConfigError("missing value for " + std::string(argv[i]));
+    return argv[++i];
+}
+
 } // namespace
+
+bool
+applySimConfigFlag(SimConfig& cfg, int argc, char** argv, int& i)
+{
+    const std::string arg = argv[i];
+    auto value = [&]() { return nextValue(argc, argv, i); };
+    const int int_max = std::numeric_limits<int>::max();
+    if (arg == "--mesh") {
+        cfg.radices = parseMesh(value());
+    } else if (arg == "--torus") {
+        cfg.torus = true;
+    } else if (arg == "--topology") {
+        cfg.topology = parseTopologySpec(arg, value());
+        if (cfg.topology.isMeshKind())
+            cfg.torus = cfg.topology.kind == TopologyKind::Torus;
+    } else if (arg == "--model") {
+        cfg.model = parseRouterModel(value());
+    } else if (arg == "--vcs") {
+        cfg.vcsPerPort = parseCheckedInt(arg, value(), 1, int_max);
+    } else if (arg == "--buffers") {
+        cfg.bufferDepth = parseCheckedInt(arg, value(), 1, int_max);
+    } else if (arg == "--escape-vcs") {
+        cfg.escapeVcs = parseCheckedInt(arg, value(), -1, int_max);
+    } else if (arg == "--routing") {
+        cfg.routing = parseRoutingAlgo(value());
+    } else if (arg == "--table") {
+        cfg.table = parseTableKind(value());
+    } else if (arg == "--selector") {
+        cfg.selector = parseSelectorKind(value());
+    } else if (arg == "--traffic") {
+        cfg.traffic = parseTrafficKind(value());
+    } else if (arg == "--load") {
+        cfg.normalizedLoad = parseCheckedDouble(
+            arg, value(), 1e-9, std::numeric_limits<double>::max());
+    } else if (arg == "--msglen") {
+        cfg.msgLen = parseCheckedInt(arg, value(), 1, int_max);
+    } else if (arg == "--injection") {
+        cfg.injection = parseInjectionKind(value());
+    } else if (arg == "--hotspot-frac") {
+        cfg.hotspot.fraction = parseCheckedDouble(arg, value(), 0.0, 1.0);
+    } else if (arg == "--faults") {
+        cfg.faultCount = parseCheckedInt(arg, value(), 0, int_max);
+    } else if (arg == "--fault-seed") {
+        cfg.faultSeed = parseCheckedU64(arg, value());
+    } else if (arg == "--fault-start") {
+        cfg.faultStart = parseCheckedU64(arg, value());
+    } else if (arg == "--fault-spacing") {
+        cfg.faultSpacing = parseCheckedU64(arg, value());
+    } else if (arg == "--reconfig-latency") {
+        cfg.reconfigLatency = parseCheckedU64(arg, value());
+    } else if (arg == "--fault-policy") {
+        cfg.faultPolicy = parseFaultPolicy(value());
+    } else if (arg == "--fail-link") {
+        cfg.faultEvents.push_back(parseFaultEvent(value(), true));
+    } else if (arg == "--repair-link") {
+        cfg.faultEvents.push_back(parseFaultEvent(value(), false));
+    } else if (arg == "--warmup") {
+        cfg.warmupMessages = parseCheckedU64(arg, value());
+    } else if (arg == "--measure") {
+        cfg.measureMessages = parseCheckedU64(arg, value());
+    } else if (arg == "--telemetry-window") {
+        cfg.telemetryWindow = parseCheckedU64(arg, value());
+    } else if (arg == "--workload") {
+        cfg.workload = parseWorkloadKind(value());
+    } else if (arg == "--request-timeout") {
+        cfg.requestTimeout = parseCheckedU64(arg, value());
+    } else if (arg == "--max-retries") {
+        cfg.maxRetries = parseCheckedInt(arg, value(), 0, int_max);
+    } else if (arg == "--backoff-base") {
+        cfg.backoffBase = parseCheckedU64(arg, value());
+    } else if (arg == "--inflight-window") {
+        cfg.inflightWindow = parseCheckedInt(arg, value(), 1, int_max);
+    } else if (arg == "--servers") {
+        cfg.servers = parseCheckedInt(arg, value(), 1, int_max);
+    } else if (arg == "--service-time") {
+        cfg.serviceTime = parseCheckedU64(arg, value());
+    } else if (arg == "--intra-jobs") {
+        cfg.intraJobs = static_cast<unsigned>(
+            parseCheckedInt(arg, value(), 0, int_max));
+    } else if (arg == "--mode") {
+        applyBenchMode(cfg, parseBenchModeName(value()));
+    } else {
+        return false;
+    }
+    return true;
+}
 
 bool
 CampaignCli::consume(int argc, char** argv, int& i)
 {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-        if (i + 1 >= argc)
-            throw ConfigError("missing value for " + arg);
-        return argv[++i];
-    };
-    const int int_max = std::numeric_limits<int>::max();
     if (arg == "--grid") {
-        gridSpecs.push_back(value());
+        gridSpecs.push_back(nextValue(argc, argv, i));
     } else if (arg == "--seed") {
-        campaignSeed = parseCheckedU64(arg, value());
-    } else if (arg == "--mesh") {
-        base.radices = parseMesh(value());
-    } else if (arg == "--torus") {
-        base.torus = true;
-    } else if (arg == "--topology") {
-        base.topology = parseTopologySpec(arg, value());
-        if (base.topology.isMeshKind())
-            base.torus = base.topology.kind == TopologyKind::Torus;
-    } else if (arg == "--model") {
-        base.model = parseRouterModel(value());
-    } else if (arg == "--vcs") {
-        base.vcsPerPort = parseCheckedInt(arg, value(), 1, int_max);
-    } else if (arg == "--buffers") {
-        base.bufferDepth = parseCheckedInt(arg, value(), 1, int_max);
-    } else if (arg == "--escape-vcs") {
-        base.escapeVcs = parseCheckedInt(arg, value(), -1, int_max);
-    } else if (arg == "--routing") {
-        base.routing = parseRoutingAlgo(value());
-    } else if (arg == "--table") {
-        base.table = parseTableKind(value());
-    } else if (arg == "--selector") {
-        base.selector = parseSelectorKind(value());
-    } else if (arg == "--traffic") {
-        base.traffic = parseTrafficKind(value());
-    } else if (arg == "--load") {
-        base.normalizedLoad = parseCheckedDouble(
-            arg, value(), 1e-9, std::numeric_limits<double>::max());
-    } else if (arg == "--msglen") {
-        base.msgLen = parseCheckedInt(arg, value(), 1, int_max);
-    } else if (arg == "--injection") {
-        base.injection = parseInjectionKind(value());
-    } else if (arg == "--hotspot-frac") {
-        base.hotspot.fraction =
-            parseCheckedDouble(arg, value(), 0.0, 1.0);
-    } else if (arg == "--faults") {
-        base.faultCount = parseCheckedInt(
-            arg, value(), 0, std::numeric_limits<int>::max());
-    } else if (arg == "--fault-seed") {
-        base.faultSeed = parseCheckedU64(arg, value());
-    } else if (arg == "--fault-start") {
-        base.faultStart = parseCheckedU64(arg, value());
-    } else if (arg == "--fault-spacing") {
-        base.faultSpacing = parseCheckedU64(arg, value());
-    } else if (arg == "--reconfig-latency") {
-        base.reconfigLatency = parseCheckedU64(arg, value());
-    } else if (arg == "--fault-policy") {
-        base.faultPolicy = parseFaultPolicy(value());
-    } else if (arg == "--fail-link") {
-        base.faultEvents.push_back(parseFaultEvent(value(), true));
-    } else if (arg == "--repair-link") {
-        base.faultEvents.push_back(parseFaultEvent(value(), false));
-    } else if (arg == "--warmup") {
-        base.warmupMessages = parseCheckedU64(arg, value());
-    } else if (arg == "--measure") {
-        base.measureMessages = parseCheckedU64(arg, value());
-    } else if (arg == "--telemetry-window") {
-        base.telemetryWindow = parseCheckedU64(arg, value());
-    } else if (arg == "--workload") {
-        base.workload = parseWorkloadKind(value());
-    } else if (arg == "--request-timeout") {
-        base.requestTimeout = parseCheckedU64(arg, value());
-    } else if (arg == "--max-retries") {
-        base.maxRetries = parseCheckedInt(arg, value(), 0, int_max);
-    } else if (arg == "--backoff-base") {
-        base.backoffBase = parseCheckedU64(arg, value());
-    } else if (arg == "--inflight-window") {
-        base.inflightWindow = parseCheckedInt(arg, value(), 1, int_max);
-    } else if (arg == "--servers") {
-        base.servers = parseCheckedInt(arg, value(), 1, int_max);
-    } else if (arg == "--service-time") {
-        base.serviceTime = parseCheckedU64(arg, value());
-    } else if (arg == "--intra-jobs") {
-        base.intraJobs = static_cast<unsigned>(parseCheckedInt(
-            arg, value(), 0, std::numeric_limits<int>::max()));
-    } else if (arg == "--mode") {
-        applyBenchMode(base, parseBenchModeName(value()));
+        campaignSeed = parseCheckedU64(arg, nextValue(argc, argv, i));
     } else {
-        return false;
+        return applySimConfigFlag(base, argc, argv, i);
     }
     return true;
 }
@@ -175,56 +188,81 @@ campaignCliHelp()
            "                       to join grids\n"
            "  --seed N             campaign seed; run i gets the seed\n"
            "                       derived from (N, i)              "
-           "[1]\n"
-           "\n"
-           "Base configuration (defaults = paper Table 2):\n"
-           "  --topology T         mesh|torus|fattreeKxN|"
-           "dragonflyAxHxG|\n"
+           "[1]\n";
+}
+
+const char*
+simConfigFlagsHelp()
+{
+    return "Topology / router (defaults = paper Table 2):\n"
+           "  --topology T         mesh|torus|fattreeKxN|dragonflyAxHxG|\n"
            "                       file:PATH (README \"Topologies\") "
            "[mesh]\n"
-           "  --mesh KxK[xK] --torus --model M --vcs N --buffers N\n"
-           "  --escape-vcs N --routing A --table T --selector S\n"
-           "  --traffic P --load X --msglen N --injection I\n"
-           "  --hotspot-frac X --warmup N --measure N\n"
-           "  --telemetry-window N cycles per telemetry window (0 =\n"
-           "                       off; never changes results)     [0]\n"
-           "  --intra-jobs N       parallel-kernel shard threads per\n"
-           "                       run (LAPSES_KERNEL=parallel; the\n"
-           "                       effective thread count is --jobs\n"
-           "                       times this). Never changes\n"
-           "                       results                         [0]\n"
-           "  --mode quick|default|paper   measurement scale preset\n"
+           "  --mesh KxK[xK]       mesh radices        [16x16]\n"
+           "  --torus              wrap links (use --routing "
+           "torus-adaptive)\n"
+           "  --model M            proud | la-proud    [la-proud]\n"
+           "  --vcs N              VCs per channel     [4]\n"
+           "  --buffers N          buffer depth flits  [20]\n"
+           "  --escape-vcs N       escape VCs (-1=auto)[-1]\n"
+           "\n"
+           "Routing:\n"
+           "  --routing A          xy|yx|duato|north-last|west-first|\n"
+           "                       negative-first|torus-adaptive|\n"
+           "                       up-down|up-down-adaptive [duato]\n"
+           "  --table T            full-table|meta-row|meta-block|\n"
+           "                       economical-storage|interval\n"
+           "                                           "
+           "[economical-storage]\n"
+           "  --selector S         static-xy|first-free|random|min-mux|\n"
+           "                       lfu|lru|max-credit  [static-xy]\n"
+           "\n"
+           "Workload:\n"
+           "  --traffic P          uniform|transpose|bit-reversal|\n"
+           "                       perfect-shuffle|bit-complement|\n"
+           "                       tornado|neighbor|hotspot [uniform]\n"
+           "  --load X             normalized load     [0.1]\n"
+           "  --msglen N           flits per message   [20]\n"
+           "  --injection I        exponential|bernoulli|bursty\n"
+           "                                           [exponential]\n"
+           "  --hotspot-frac X     hotspot fraction    [0.1]\n"
            "\n"
            "Closed-loop service workload (README \"Service "
            "workloads\"):\n"
-           "  --workload W         open|request-reply          [open]\n"
-           "  --servers N          server nodes (0..N-1 serve) "
-           "   [8]\n"
-           "  --inflight-window N  requests a client keeps in "
-           "flight [2]\n"
-           "  --request-timeout N  cycles before a retry is "
-           "armed [4000]\n"
-           "  --max-retries N      retransmissions before a request\n"
-           "                       is counted failed             [3]\n"
-           "  --backoff-base N     first backoff delay; doubles per\n"
-           "                       retry, plus seeded jitter    [64]\n"
-           "  --service-time N     mean server service delay    [16]\n"
+           "  --workload W         open|request-reply  [open]\n"
+           "  --servers N          server nodes (ids 0..N-1)   [8]\n"
+           "  --inflight-window N  requests a client keeps in\n"
+           "                       flight                      [2]\n"
+           "  --request-timeout N  cycles before a timeout     [4000]\n"
+           "  --max-retries N      retransmissions before a\n"
+           "                       request is counted failed   [3]\n"
+           "  --backoff-base N     first backoff delay; doubles\n"
+           "                       per retry + seeded jitter   [64]\n"
+           "  --service-time N     mean server service delay   [16]\n"
            "\n"
            "Dynamic link faults (README \"Fault injection\"):\n"
-           "  --faults N           random mid-run link failures\n"
-           "  --fault-seed N       fault-site seed (0 = derive from\n"
-           "                       the run seed)                  [0]\n"
-           "  --fault-start N      cycle of the first random fault\n"
-           "                       [2000]\n"
-           "  --fault-spacing N    cycles between random faults "
-           "[2000]\n"
-           "  --fail-link n:p@c    fail node n's port-p link at "
-           "cycle c\n"
+           "  --fail-link n:p@c    fail node n's port-p link at cycle c\n"
+           "                       (repeatable)\n"
            "  --repair-link n:p@c  bring a failed link back up\n"
-           "  --reconfig-latency N cycles before tables reprogram "
-           "[200]\n"
-           "  --fault-policy P     drop|reinject cut messages "
-           "[reinject]\n";
+           "  --faults N           random mid-run link failures [0]\n"
+           "  --fault-seed N       fault-site seed (0 = derive) [0]\n"
+           "  --fault-start N      first random fault cycle [2000]\n"
+           "  --fault-spacing N    cycles between random faults [2000]\n"
+           "  --reconfig-latency N cycles before tables reprogram [200]\n"
+           "  --fault-policy P     drop|reinject cut messages [reinject]\n"
+           "\n"
+           "Measurement:\n"
+           "  --mode M             quick|default|paper preset (paper =\n"
+           "                       Section 2.2's 10k warm-up / 400k\n"
+           "                       measured)\n"
+           "  --warmup N           warm-up messages    [1000]\n"
+           "  --measure N          measured messages   [10000]\n"
+           "  --intra-jobs N       parallel-kernel shard threads per\n"
+           "                       run (with LAPSES_KERNEL=parallel;\n"
+           "                       0 = auto via LAPSES_INTRA_JOBS /\n"
+           "                       hardware). Never changes results [0]\n"
+           "  --telemetry-window N cycles per telemetry window (0 = off;\n"
+           "                       never changes results)           [0]\n";
 }
 
 } // namespace lapses

@@ -62,18 +62,8 @@ parseU64(const std::string& axis, const std::string& value)
 void
 appendLoads(const std::string& value, std::vector<double>& loads)
 {
-    double lo = 0.0;
-    double hi = 0.0;
-    double step = 0.0;
-    if (std::sscanf(value.c_str(), "%lf:%lf:%lf", &lo, &hi, &step) ==
-        3) {
-        if (step <= 0.0 || lo <= 0.0 || hi < lo)
-            throw ConfigError("bad load range '" + value +
-                              "' (want LO:HI:STEP)");
-        for (double x = lo; x <= hi + 1e-9; x += step)
-            loads.push_back(x);
+    if (appendLoadRange(value, "load range", loads))
         return;
-    }
     char* end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0' || v <= 0.0)
@@ -82,6 +72,23 @@ appendLoads(const std::string& value, std::vector<double>& loads)
 }
 
 } // namespace
+
+bool
+appendLoadRange(const std::string& spec, const std::string& what,
+                std::vector<double>& loads)
+{
+    double lo = 0.0;
+    double hi = 0.0;
+    double step = 0.0;
+    if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &lo, &hi, &step) != 3)
+        return false;
+    if (step <= 0.0 || lo <= 0.0 || hi < lo)
+        throw ConfigError("bad " + what + " '" + spec +
+                          "' (want LO:HI:STEP)");
+    for (double x = lo; x <= hi + 1e-9; x += step)
+        loads.push_back(x);
+    return true;
+}
 
 void
 applyGridSpec(const std::string& spec, CampaignGrid& grid)

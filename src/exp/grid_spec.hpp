@@ -15,6 +15,7 @@
 #define LAPSES_EXP_GRID_SPEC_HPP
 
 #include <string>
+#include <vector>
 
 #include "exp/campaign.hpp"
 
@@ -29,6 +30,16 @@ namespace lapses
  * an unknown axis or a malformed value.
  */
 void applyGridSpec(const std::string& spec, CampaignGrid& grid);
+
+/**
+ * Append the loads of a LO:HI:STEP range (the load axis's range form,
+ * and lapses-sim's --sweep): lo, lo + step, ... up to hi. Returns
+ * false, appending nothing, when spec does not start with three
+ * ':'-separated numbers. Throws ConfigError("bad <what> '<spec>' (want
+ * LO:HI:STEP)") when they are not a range (lo > 0, step > 0, hi >= lo).
+ */
+bool appendLoadRange(const std::string& spec, const std::string& what,
+                     std::vector<double>& loads);
 
 } // namespace lapses
 

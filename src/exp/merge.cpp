@@ -1,6 +1,5 @@
 #include "exp/merge.hpp"
 
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -25,18 +24,6 @@ at(const std::string& label, std::size_t line_no)
     return label + ':' + std::to_string(line_no);
 }
 
-/** Parse the digits after `pos`; false when none are there. */
-bool
-parseIndexAt(const std::string& line, std::size_t pos,
-             std::size_t& out)
-{
-    if (pos >= line.size() ||
-        !std::isdigit(static_cast<unsigned char>(line[pos])))
-        return false;
-    out = std::strtoull(line.c_str() + pos, nullptr, 10);
-    return true;
-}
-
 void
 insertRecord(ShardFile& shard, std::size_t index,
              const std::string& line, std::size_t line_no)
@@ -56,22 +43,19 @@ parseJsonlShard(std::istream& is, ShardFile& shard)
     std::size_t line_no = 0;
     while (std::getline(is, line)) {
         ++line_no;
-        if (line.empty() || line.front() != '{' ||
-            line.back() != '}') {
+        const RecordLine rec = readRecordLine(line, SinkFormat::Jsonl);
+        if (rec.kind == RecordLine::Kind::Torn) {
             throw ConfigError(
                 "truncated or malformed record at " +
                 at(shard.label, line_no) +
                 " (shard killed mid-write? finish it with "
                 "lapses-campaign --shard ... --resume)");
         }
-        const std::size_t run_key = line.find("\"run\":");
-        std::size_t index = 0;
-        if (run_key == std::string::npos ||
-            !parseIndexAt(line, run_key + 6, index)) {
+        if (rec.kind == RecordLine::Kind::NoIndex) {
             throw ConfigError("record without a run index at " +
                               at(shard.label, line_no));
         }
-        insertRecord(shard, index, line, line_no);
+        insertRecord(shard, rec.index, line, line_no);
     }
 }
 
@@ -89,23 +73,18 @@ parseCsvShard(std::istream& is, ShardFile& shard)
     std::size_t line_no = 1;
     while (std::getline(is, line)) {
         ++line_no;
-        std::size_t index = 0;
-        if (!parseIndexAt(line, 0, index)) {
+        const RecordLine rec = readRecordLine(line, SinkFormat::Csv);
+        if (rec.kind == RecordLine::Kind::NoIndex) {
             throw ConfigError("malformed record at " +
                               at(shard.label, line_no));
         }
-        // A complete row ends in the saturated cell; anything else was
-        // cut short by a kill.
-        const std::size_t comma = line.rfind(',');
-        const std::string tail =
-            comma == std::string::npos ? "" : line.substr(comma + 1);
-        if (tail != "true" && tail != "false") {
+        if (rec.kind == RecordLine::Kind::Torn) {
             throw ConfigError(
                 "truncated record at " + at(shard.label, line_no) +
                 " (shard killed mid-write? finish it with "
                 "lapses-campaign --shard ... --resume)");
         }
-        insertRecord(shard, index, line, line_no);
+        insertRecord(shard, rec.index, line, line_no);
     }
 }
 

@@ -171,53 +171,70 @@ parseIndexAt(const std::string& line, std::size_t pos,
     return true;
 }
 
-} // namespace
-
 ResumeState
-scanResumeJsonl(std::istream& is)
+scanResume(std::istream& is, SinkFormat format)
 {
     ResumeState state;
     std::string line;
     while (std::getline(is, line)) {
-        // A record the kill cut short has no closing brace: ignore it,
-        // the campaign will re-run that point.
-        if (line.empty() || line.front() != '{' || line.back() != '}')
+        // Anything but a complete record — one the kill cut short, the
+        // CSV header — is skipped; the campaign re-runs that point.
+        const RecordLine rec = readRecordLine(line, format);
+        if (rec.kind != RecordLine::Kind::Complete)
             continue;
-        const std::size_t run_key = line.find("\"run\":");
-        std::size_t index = 0;
-        if (run_key == std::string::npos ||
-            !parseIndexAt(line, run_key + 6, index))
-            continue;
-        state.completed.insert(index);
-        if (line.find("\"saturated\":true") != std::string::npos)
-            state.saturated.insert(index);
-        state.records.emplace(index, line);
+        state.completed.insert(rec.index);
+        if (rec.saturated)
+            state.saturated.insert(rec.index);
+        state.records.emplace(rec.index, line);
     }
     return state;
+}
+
+} // namespace
+
+RecordLine
+readRecordLine(const std::string& line, SinkFormat format)
+{
+    RecordLine rec;
+    if (format == SinkFormat::Jsonl) {
+        // A record the kill cut short has no closing brace.
+        if (line.empty() || line.front() != '{' || line.back() != '}')
+            return rec;
+        const std::size_t run_key = line.find("\"run\":");
+        if (run_key == std::string::npos ||
+            !parseIndexAt(line, run_key + 6, rec.index)) {
+            rec.kind = RecordLine::Kind::NoIndex;
+            return rec;
+        }
+        rec.saturated =
+            line.find("\"saturated\":true") != std::string::npos;
+    } else {
+        if (!parseIndexAt(line, 0, rec.index)) {
+            rec.kind = RecordLine::Kind::NoIndex;
+            return rec;
+        }
+        // A complete row ends in the saturated cell.
+        const std::size_t comma = line.rfind(',');
+        const std::string tail =
+            comma == std::string::npos ? "" : line.substr(comma + 1);
+        if (tail != "true" && tail != "false")
+            return rec;
+        rec.saturated = tail == "true";
+    }
+    rec.kind = RecordLine::Kind::Complete;
+    return rec;
+}
+
+ResumeState
+scanResumeJsonl(std::istream& is)
+{
+    return scanResume(is, SinkFormat::Jsonl);
 }
 
 ResumeState
 scanResumeCsv(std::istream& is)
 {
-    ResumeState state;
-    std::string line;
-    while (std::getline(is, line)) {
-        std::size_t index = 0;
-        if (!parseIndexAt(line, 0, index)) // header or torn line
-            continue;
-        // The saturated flag is the final cell.
-        const std::size_t comma = line.rfind(',');
-        if (comma == std::string::npos)
-            continue;
-        const std::string tail = line.substr(comma + 1);
-        if (tail != "true" && tail != "false")
-            continue; // torn mid-record: re-run it
-        state.completed.insert(index);
-        if (tail == "true")
-            state.saturated.insert(index);
-        state.records.emplace(index, line);
-    }
-    return state;
+    return scanResume(is, SinkFormat::Csv);
 }
 
 void

@@ -99,6 +99,30 @@ std::string runResultCsvRow(const RunResult& result);
  */
 std::string runRecordPrefix(const CampaignRun& run, SinkFormat format);
 
+/** One line read back from a campaign output file. */
+struct RecordLine
+{
+    enum class Kind
+    {
+        Complete, //!< a whole record
+        Torn,     //!< cut short by a kill: JSONL not a closed {...}
+                  //!< object, CSV row without its final saturated cell
+        NoIndex,  //!< no run index: JSONL without a "run": key, CSV
+                  //!< header or garbage
+    };
+    Kind kind = Kind::Torn;
+    std::size_t index = 0;  //!< run index (Complete only)
+    bool saturated = false; //!< saturated flag (Complete only)
+};
+
+/**
+ * Classify one line of a campaign output file. The one definition of
+ * a complete record, shared by the tolerant resume scan (which skips
+ * every other line) and the strict shard-merge parser (which rejects
+ * it with file:line).
+ */
+RecordLine readRecordLine(const std::string& line, SinkFormat format);
+
 /**
  * Recover completed-run indices (and their saturation flags) from a
  * partial campaign output file, for CampaignOptions::resume. Malformed

@@ -1,5 +1,7 @@
 #include "exp/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace lapses
@@ -18,13 +20,17 @@ thread_local int tls_worker_index = -1;
 
 } // namespace
 
+unsigned
+resolveThreadCount(unsigned requested)
+{
+    if (requested > 0)
+        return requested;
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(unsigned threads)
 {
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
+    threads = resolveThreadCount(threads);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.push_back(std::make_unique<Worker>());

@@ -31,11 +31,18 @@
 namespace lapses
 {
 
+/**
+ * A worker-thread count where 0 means "every hardware thread": the
+ * request when > 0, else std::thread::hardware_concurrency(), and at
+ * least 1 when the hardware count is unknown.
+ */
+unsigned resolveThreadCount(unsigned requested);
+
 /** Fixed-size work-stealing pool (single use: construct, submit, join). */
 class ThreadPool
 {
   public:
-    /** Spawn the workers; 0 means std::thread::hardware_concurrency(). */
+    /** Spawn resolveThreadCount(threads) workers. */
     explicit ThreadPool(unsigned threads = 0);
 
     /** Drains every submitted task, then joins the workers. */

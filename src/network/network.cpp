@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "exp/thread_pool.hpp"
 
@@ -88,12 +87,7 @@ resolveIntraJobs(unsigned requested)
             jobs = static_cast<unsigned>(v);
         }
     }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return std::min(jobs, MessagePool::kMaxBanks);
+    return std::min(resolveThreadCount(jobs), MessagePool::kMaxBanks);
 }
 
 void

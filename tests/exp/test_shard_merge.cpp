@@ -738,5 +738,31 @@ TEST(Aggregation, RunAxisValuesMatchTheSinks)
     EXPECT_THROW(runAxisValue(run, "latency"), ConfigError);
 }
 
+TEST(RecordLine, OneDefinitionOfACompleteRecord)
+{
+    using Kind = RecordLine::Kind;
+    const RecordLine json = readRecordLine(
+        "{\"run\":12,\"saturated\":true}", SinkFormat::Jsonl);
+    EXPECT_EQ(json.kind, Kind::Complete);
+    EXPECT_EQ(json.index, 12u);
+    EXPECT_TRUE(json.saturated);
+    EXPECT_EQ(readRecordLine("{\"run\":12,\"sat", SinkFormat::Jsonl)
+                  .kind,
+              Kind::Torn);
+    EXPECT_EQ(readRecordLine("", SinkFormat::Jsonl).kind, Kind::Torn);
+    EXPECT_EQ(readRecordLine("{\"run\":\"x\"}", SinkFormat::Jsonl).kind,
+              Kind::NoIndex);
+
+    const RecordLine csv = readRecordLine("7,0,a,false", SinkFormat::Csv);
+    EXPECT_EQ(csv.kind, Kind::Complete);
+    EXPECT_EQ(csv.index, 7u);
+    EXPECT_FALSE(csv.saturated);
+    EXPECT_EQ(readRecordLine("7,0,a,fal", SinkFormat::Csv).kind,
+              Kind::Torn);
+    EXPECT_EQ(readRecordLine("7", SinkFormat::Csv).kind, Kind::Torn);
+    EXPECT_EQ(readRecordLine("run,series", SinkFormat::Csv).kind,
+              Kind::NoIndex);
+}
+
 } // namespace
 } // namespace lapses

@@ -119,6 +119,7 @@ TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency)
 {
     ThreadPool pool(0);
     EXPECT_GE(pool.threadCount(), 1u);
+    EXPECT_EQ(pool.threadCount(), resolveThreadCount(0));
 }
 
 TEST(ThreadPool, ConstructSubmitDestroyStress)

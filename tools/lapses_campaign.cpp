@@ -32,17 +32,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/lapses.hpp"
 #include "exp/campaign.hpp"
 #include "exp/campaign_cli.hpp"
 #include "exp/result_sink.hpp"
+#include "exp/thread_pool.hpp"
 
 namespace
 {
@@ -57,8 +57,12 @@ printHelp()
         "\n"
         "%s"
         "\n"
+        "%s"
+        "\n"
         "Execution:\n"
-        "  --jobs N             worker threads (0 = all cores)  [0]\n"
+        "  --jobs N             worker threads (0 = all cores); with\n"
+        "                       --intra-jobs the thread count is\n"
+        "                       their product                  [0]\n"
         "  --shard k/M[:w]      execute only run indices i with\n"
         "                       i %% M in [k-1, k-1+w) (one of M weight\n"
         "                       units; w units for a faster host, 1\n"
@@ -75,7 +79,7 @@ printHelp()
         "                       (scans them, then appends)\n"
         "  --quiet              suppress per-run progress on stderr\n"
         "  --help               this text\n",
-        campaignCliHelp());
+        campaignCliHelp(), simConfigFlagsHelp());
 }
 
 } // namespace
@@ -107,8 +111,8 @@ main(int argc, char** argv)
                 printHelp();
                 return 0;
             } else if (arg == "--jobs") {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(value().c_str(), nullptr, 10));
+                jobs = static_cast<unsigned>(parseCheckedInt(
+                    arg, value(), 0, std::numeric_limits<int>::max()));
             } else if (arg == "--shard") {
                 shard = parseShardSpec(value());
             } else if (arg == "--no-skip-saturated") {
@@ -297,13 +301,7 @@ main(int argc, char** argv)
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
 
-        // Mirror runCampaign's jobs resolution for the summary line.
-        unsigned effective_jobs = jobs;
-        if (effective_jobs == 0) {
-            effective_jobs = std::thread::hardware_concurrency();
-            if (effective_jobs == 0)
-                effective_jobs = 1;
-        }
+        const unsigned effective_jobs = resolveThreadCount(jobs);
         if (shard.isAll()) {
             std::fprintf(stderr,
                          "campaign done: %zu runs (%zu executed, %zu "

@@ -52,6 +52,8 @@ printHelp()
         "\n"
         "%s"
         "\n"
+        "%s"
+        "\n"
         "Merge:\n"
         "  --format jsonl|csv   record format of the shard files "
         "[jsonl]\n"
@@ -71,7 +73,7 @@ printHelp()
         "                       throughput\n"
         "  --agg-out FILE       write the aggregate CSV here [stdout]\n"
         "  --help               this text\n",
-        campaignCliHelp());
+        campaignCliHelp(), simConfigFlagsHelp());
 }
 
 std::vector<std::string>
