@@ -52,6 +52,10 @@ struct InputVc
      *  header payload or the local table-lookup stage). */
     RouteCandidates route;
 
+    /** While the header is parked (every live candidate blocked): the
+     *  live candidate ports, any of which gaining a free VC wakes it. */
+    std::uint64_t parkedOn = 0;
+
     /** Allocated crossbar output once Active. */
     PortId outPort = kInvalidPort;
     VcId outVc = kInvalidVc;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 
@@ -48,6 +49,12 @@ Router::Router(NodeId id, const Topology& topo,
         static_cast<std::size_t>(xbar_requesters), kInvalidPort);
     in_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
     out_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
+    parked_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
+    if (escape_channels_) {
+        adaptive_vc_mask_ =
+            (~std::uint64_t{0} >> (64 - params_.vcsPerPort)) &
+            ~((std::uint64_t{1} << params_.escapeVcs) - 1);
+    }
 }
 
 void
@@ -63,11 +70,8 @@ void
 Router::acceptCredit(PortId out_port, VcId vc)
 {
     LAPSES_ASSERT(out_port >= 0 && out_port < num_ports_);
-    OutputVc& ovc =
-        outputs_[static_cast<std::size_t>(out_port)].vc(vc);
-    ++ovc.credits;
-    LAPSES_ASSERT_MSG(ovc.credits <= params_.inBufDepth,
-                      "credit overflow: more credits than buffer slots");
+    if (outputs_[static_cast<std::size_t>(out_port)].returnCredit(vc))
+        gained_port_mask_ |= std::uint64_t{1} << out_port;
 }
 
 std::vector<std::pair<PortId, VcId>>
@@ -111,62 +115,42 @@ Router::advanceHeaderState(PortId in_port, VcId vc, Cycle now)
     ivc.msg = front.msg;
 }
 
+std::uint64_t
+Router::vcClassMask(const RouteCandidates& route, PortId p) const
+{
+    if (!escapeRestricted(route, p)) {
+        // No escape discipline: every VC is usable on any candidate.
+        return ~std::uint64_t{0};
+    }
+    // Adaptive class on any candidate port; the escape class only
+    // toward the escape port, on the VC of the entry's escape phase.
+    if (p != route.escapePort())
+        return adaptive_vc_mask_;
+    const int ev = std::min(route.escapeClass(), params_.escapeVcs - 1);
+    return adaptive_vc_mask_ | std::uint64_t{1} << ev;
+}
+
 int
 Router::countFreeVcs(const RouteCandidates& route, PortId p) const
 {
-    const OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    const int full = params_.inBufDepth;
-    if (p == kLocalPort || !escape_channels_ ||
-        route.escapePort() == kInvalidPort) {
-        // No escape discipline: every VC is usable on any candidate.
-        int n = 0;
-        for (VcId v = 0; v < params_.vcsPerPort; ++v)
-            n += out.allocatable(v, full) ? 1 : 0;
-        return n;
-    }
-    int n = 0;
-    // Adaptive class on any candidate port.
-    for (VcId v = static_cast<VcId>(params_.escapeVcs);
-         v < params_.vcsPerPort; ++v) {
-        n += out.allocatable(v, full) ? 1 : 0;
-    }
-    // Escape class only toward the escape port, on the VC of the
-    // entry's escape phase.
-    if (p == route.escapePort()) {
-        const VcId ev = static_cast<VcId>(
-            std::min(route.escapeClass(), params_.escapeVcs - 1));
-        n += out.allocatable(ev, full) ? 1 : 0;
-    }
-    return n;
+    return std::popcount(outputs_[static_cast<std::size_t>(p)].freeMask() &
+                         vcClassMask(route, p));
 }
 
 VcId
 Router::allocateVc(const RouteCandidates& route, PortId p) const
 {
-    const OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    const int full = params_.inBufDepth;
-    if (p == kLocalPort || !escape_channels_ ||
-        route.escapePort() == kInvalidPort) {
-        for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-            if (out.allocatable(v, full))
-                return v;
-        }
+    const std::uint64_t free =
+        outputs_[static_cast<std::size_t>(p)].freeMask() &
+        vcClassMask(route, p);
+    if (free == 0)
         return kInvalidVc;
-    }
-    // Prefer adaptive VCs, keeping the escape network free for blocked
-    // messages.
-    for (VcId v = static_cast<VcId>(params_.escapeVcs);
-         v < params_.vcsPerPort; ++v) {
-        if (out.allocatable(v, full))
-            return v;
-    }
-    if (p == route.escapePort()) {
-        const VcId ev = static_cast<VcId>(
-            std::min(route.escapeClass(), params_.escapeVcs - 1));
-        if (out.allocatable(ev, full))
-            return ev;
-    }
-    return kInvalidVc;
+    // Under Duato's protocol prefer adaptive VCs, keeping the escape
+    // network free for blocked messages; otherwise the lowest VC.
+    const std::uint64_t adaptive =
+        escapeRestricted(route, p) ? free & adaptive_vc_mask_ : 0;
+    return static_cast<VcId>(
+        std::countr_zero(adaptive != 0 ? adaptive : free));
 }
 
 bool
@@ -194,12 +178,12 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
         // path-selection heuristic (Section 4).
         std::array<PortStatus, RouteCandidates::kMaxCandidates> status;
         int avail = 0;
-        int live = 0;
+        std::uint64_t live = 0;
         for (int i = 0; i < ivc.route.count(); ++i) {
             const PortId p = ivc.route.at(i);
             if (portDead(p))
                 continue;
-            ++live;
+            live |= std::uint64_t{1} << p;
             const int free_vcs = countFreeVcs(ivc.route, p);
             if (free_vcs == 0)
                 continue;
@@ -225,8 +209,13 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
                 env.headUnroutable(in_port, vc);
             return kInvalidPort;
         }
-        if (avail == 0)
-            return kInvalidPort; // all candidates blocked; retry
+        if (avail == 0) {
+            // Every live candidate is blocked, and stays blocked until
+            // one of them gains a free VC: park until then.
+            ivc.parkedOn = live;
+            markOccupied(parked_vc_mask_, parked_port_mask_, in_port, vc);
+            return kInvalidPort;
+        }
         const PortId chosen = avail == 1
             ? status[0].port
             : selector_->select(std::span<const PortStatus>(
@@ -255,11 +244,14 @@ Router::serveCrossbar(Cycle now, Env& env)
 {
     // Raise request lines — only VCs holding flits can request, and
     // the occupied list iterates them in the same ascending (port, VC)
-    // order the full sweep used, so arbitration is unchanged.
+    // order the full sweep used, so arbitration is unchanged. Parked
+    // headers would find every candidate blocked again, so they are
+    // skipped; the others keep their relative order.
+    wakeGainedHeaders();
     std::uint64_t req_ports = 0;
     std::uint64_t raised = 0;
     std::uint64_t granted = 0;
-    forEachOccupiedInput([&](PortId ip, VcId v) {
+    forEachUnparkedInput([&](PortId ip, VcId v) {
         const PortId req = gatherRequest(ip, v, now, env);
         pending_request_[static_cast<std::size_t>(
             requesterIndex(ip, v))] = req;
@@ -295,8 +287,7 @@ Router::serveCrossbar(Cycle now, Env& env)
             const VcId ov = allocateVc(ivc.route, op);
             LAPSES_ASSERT_MSG(ov != kInvalidVc,
                               "granted header found no allocatable VC");
-            out.vc(ov).busy = true;
-            out.vc(ov).msg = ivc.msg;
+            out.acquire(ov, ivc.msg);
             ivc.state = RouteState::Active;
             ivc.outPort = op;
             ivc.outVc = ov;
@@ -383,17 +374,14 @@ Router::serveVcMux(Cycle now, Env& env)
         Flit flit = ovc.buffer.pop();
         clearIfDrained(out_vc_mask_, out_port_mask_, op, v,
                        ovc.buffer.empty());
-        if (!out.hasInfiniteCredits())
-            --ovc.credits;
+        out.consumeCredit(v);
         out.recordUse(now);
         ++transmitted_flits_;
         --buffered_flits_; // the flit leaves the router for the wire
         if (telem_ != nullptr)
             ++telem_->flitsOut[static_cast<std::size_t>(op)];
-        if (isTail(flit.type)) {
-            ovc.busy = false;
-            ovc.msg = kInvalidMsgRef;
-        }
+        if (isTail(flit.type) && out.release(v))
+            gained_port_mask_ |= std::uint64_t{1} << op;
         env.flitOut(op, v, flit);
     }
 }
@@ -403,6 +391,7 @@ Router::markPortDead(PortId p)
 {
     LAPSES_ASSERT(p > 0 && p < num_ports_);
     dead_port_mask_ |= std::uint64_t{1} << p;
+    wakeAllParked();
 }
 
 void
@@ -411,12 +400,19 @@ Router::markPortAlive(PortId p, int fresh_credits)
     LAPSES_ASSERT(portDead(p));
     dead_port_mask_ &= ~(std::uint64_t{1} << p);
     OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-        OutputVc& ovc = out.vc(v);
-        LAPSES_ASSERT_MSG(ovc.buffer.empty() && !ovc.busy,
-                          "reviving a dead port with residual state");
-        ovc.credits = fresh_credits;
-    }
+    LAPSES_ASSERT_MSG(out_vc_mask_[static_cast<std::size_t>(p)] == 0 &&
+                          out.busyMask() == 0,
+                      "reviving a dead port with residual state");
+    if (out.resetCredits(fresh_credits))
+        gained_port_mask_ |= std::uint64_t{1} << p;
+    wakeAllParked();
+}
+
+void
+Router::setReconfigPending(bool pending)
+{
+    reconfig_pending_ = pending;
+    wakeAllParked();
 }
 
 void
@@ -439,8 +435,8 @@ Router::collectPortMessages(PortId p, std::vector<MsgRef>& out) const
         const OutputVc& ovc = op.vc(v);
         for (std::size_t i = 0; i < ovc.buffer.size(); ++i)
             out.push_back(ovc.buffer.at(i).msg);
-        if (ovc.busy && ovc.msg != kInvalidMsgRef)
-            out.push_back(ovc.msg);
+        if (ovc.busy() && ovc.msg() != kInvalidMsgRef)
+            out.push_back(ovc.msg());
     }
     // Worms still crossing the router toward the dead port.
     for (PortId ip = 0; ip < num_ports_; ++ip) {
@@ -483,6 +479,7 @@ Router::purgeMessage(MsgRef msg,
     // on, or not arrived yet), so ownership is released by a plain scan
     // of every VC. Any output VC an input VC had allocated is released
     // through its own msg field.
+    bool released = false;
     for (PortId p = 0; p < num_ports_; ++p) {
         InputUnit& in = inputs_[static_cast<std::size_t>(p)];
         OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
@@ -493,14 +490,20 @@ Router::purgeMessage(MsgRef msg,
                 ivc.outPort = kInvalidPort;
                 ivc.outVc = kInvalidVc;
                 ivc.msg = kInvalidMsgRef;
+                released = true;
             }
-            OutputVc& ovc = out.vc(v);
-            if (ovc.busy && ovc.msg == msg) {
-                ovc.busy = false;
-                ovc.msg = kInvalidMsgRef;
+            const OutputVc& ovc = out.vc(v);
+            if (ovc.busy() && ovc.msg() == msg) {
+                if (out.release(v))
+                    gained_port_mask_ |= std::uint64_t{1} << p;
+                released = true;
             }
         }
     }
+    // A purge that touched this router may have removed a parked
+    // header or changed what its candidates offer.
+    if (removed != 0 || released)
+        wakeAllParked();
     buffered_flits_ -= removed;
     return removed;
 }
@@ -510,12 +513,10 @@ Router::quarantineDeadPort(PortId p)
 {
     LAPSES_ASSERT(portDead(p));
     OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-        OutputVc& ovc = out.vc(v);
-        LAPSES_ASSERT_MSG(ovc.buffer.empty() && !ovc.busy,
-                          "dead port still holds traffic after purge");
-        ovc.credits = 0;
-    }
+    LAPSES_ASSERT_MSG(out_vc_mask_[static_cast<std::size_t>(p)] == 0 &&
+                          out.busyMask() == 0,
+                      "dead port still holds traffic after purge");
+    out.resetCredits(0);
 }
 
 void
@@ -523,6 +524,7 @@ Router::rerouteHeldHeads(
     std::vector<std::pair<PortId, VcId>>& unroutable,
     std::uint64_t& rerouted)
 {
+    wakeAllParked();
     forEachOccupiedInput([&](PortId ip, VcId v) {
         InputVc& ivc = inputs_[static_cast<std::size_t>(ip)].vc(v);
         if (ivc.state != RouteState::WaitArb)
@@ -552,6 +554,66 @@ Router::heldUnroutableMsg(PortId p, VcId v) const
     return ivc.msg;
 }
 
+void
+Router::wakeGainedHeaders()
+{
+    const std::uint64_t gained = std::exchange(gained_port_mask_, 0);
+    if (gained == 0)
+        return;
+    forEachOccupied(parked_port_mask_, parked_vc_mask_,
+                    [&](PortId p, VcId v) {
+                        const InputVc& ivc =
+                            inputs_[static_cast<std::size_t>(p)].vc(v);
+                        if ((ivc.parkedOn & gained) != 0)
+                            clearMarked(parked_vc_mask_,
+                                        parked_port_mask_, p, v);
+                    });
+}
+
+void
+Router::wakeAllParked()
+{
+    std::fill(parked_vc_mask_.begin(), parked_vc_mask_.end(), 0);
+    parked_port_mask_ = 0;
+}
+
+bool
+Router::parkingConsistentSlow() const
+{
+    for (const OutputUnit& out : outputs_) {
+        if (!out.masksConsistentSlow())
+            return false;
+    }
+    for (PortId p = 0; p < num_ports_; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        if (((parked_port_mask_ >> p) & 1u) != (parked_vc_mask_[i] != 0) ||
+            (parked_vc_mask_[i] & ~in_vc_mask_[i]) != 0) {
+            return false;
+        }
+        for (VcId v = 0; v < params_.vcsPerPort; ++v) {
+            if (!inputVcParked(p, v))
+                continue;
+            const InputVc& ivc = inputs_[i].vc(v);
+            if (ivc.state != RouteState::WaitArb || ivc.buffer.empty())
+                return false;
+            std::uint64_t live = 0;
+            for (int c = 0; c < ivc.route.count(); ++c) {
+                const PortId cp = ivc.route.at(c);
+                if (portDead(cp))
+                    continue;
+                live |= std::uint64_t{1} << cp;
+                if (countFreeVcs(ivc.route, cp) != 0 &&
+                    ((gained_port_mask_ >> cp) & 1u) == 0) {
+                    return false;
+                }
+            }
+            if (live == 0 || live != ivc.parkedOn)
+                return false;
+        }
+    }
+    return true;
+}
+
 StepActivity
 Router::step(Cycle now, Env& env)
 {
@@ -571,7 +633,8 @@ Router::step(Cycle now, Env& env)
                     out_vc_mask_[static_cast<std::size_t>(p)]));
         }
     }
-    forEachOccupiedInput(
+    // Parked headers are in WaitArb already: nothing to advance.
+    forEachUnparkedInput(
         [&](PortId ip, VcId v) { advanceHeaderState(ip, v, now); });
     serveCrossbar(now, env);
     serveVcMux(now, env);

@@ -26,8 +26,11 @@
  *
  * Deadlock avoidance is Duato's protocol when the routing algorithm
  * requests it: escape VCs are acquired only toward the escape port of
- * the table entry, adaptive VCs toward any candidate, and a blocked
- * header re-arbitrates over all of them every cycle.
+ * the table entry, adaptive VCs toward any candidate. A header that
+ * finds no allocatable VC on any live candidate is parked — it raises
+ * no request and is not re-evaluated — until one of those ports gains
+ * a free VC, which is exactly when re-arbitration could first succeed
+ * (see DESIGN.md "Blocked-header parking").
  */
 
 #ifndef LAPSES_ROUTER_ROUTER_HPP
@@ -197,6 +200,23 @@ class Router
     /** The occupied input VCs in iteration (= arbitration) order. */
     std::vector<std::pair<PortId, VcId>> occupiedInputVcs() const;
 
+    /** True when the header on input (p, v) is parked. */
+    bool
+    inputVcParked(PortId p, VcId v) const
+    {
+        return (parked_vc_mask_[static_cast<std::size_t>(p)] >> v) & 1u;
+    }
+
+    /**
+     * Recount check of the blocked-header bookkeeping (O(ports x VCs),
+     * for invariant tests): every output unit's free/busy masks and
+     * credit total match its per-VC state, and every parked header is
+     * an occupied WaitArb header whose recorded ports are exactly its
+     * live candidates, none of which offers it a free VC unless that
+     * port's gain is still pending a wake.
+     */
+    bool parkingConsistentSlow() const;
+
     // --- Dynamic link faults (see DESIGN.md "Fault events") ----------
 
     /** Mark port p's link dead: headers never select it, the VC mux
@@ -217,7 +237,7 @@ class Router
     /** While a reconfiguration is pending, heads with no surviving
      *  candidate stall (the new tables may save them) instead of being
      *  reported unroutable. */
-    void setReconfigPending(bool pending) { reconfig_pending_ = pending; }
+    void setReconfigPending(bool pending);
 
     /**
      * Collect the messages a death of port p's link cuts: every flit
@@ -270,6 +290,20 @@ class Router
      *  up. */
     bool hasLiveCandidate(const RouteCandidates& route) const;
 
+    /** Duato's class split applies to a header with `route` on
+     *  candidate port p (never on the ejection port). */
+    bool
+    escapeRestricted(const RouteCandidates& route, PortId p) const
+    {
+        return p != kLocalPort && escape_channels_ &&
+               route.escapePort() != kInvalidPort;
+    }
+
+    /** The VC class mask a header with `route` may allocate from on
+     *  candidate port p. */
+    std::uint64_t vcClassMask(const RouteCandidates& route,
+                              PortId p) const;
+
     /** VCs this header may allocate on candidate port p. */
     int countFreeVcs(const RouteCandidates& route, PortId p) const;
 
@@ -279,6 +313,14 @@ class Router
 
     /** Grant winners per output port, move flits input -> output FIFO. */
     void serveCrossbar(Cycle now, Env& env);
+
+    /** Unpark every header waiting on a port that gained a free VC
+     *  since the last gather. */
+    void wakeGainedHeaders();
+
+    /** Unpark every header: its route, its live candidates or its
+     *  owner may have changed. */
+    void wakeAllParked();
 
     /** Transmit one flit per output port onto the link. */
     void serveVcMux(Cycle now, Env& env);
@@ -302,41 +344,60 @@ class Router
         port_mask |= std::uint64_t{1} << p;
     }
 
-    /** Clear (p, v) when its buffer just drained to empty. */
+    /** Clear (p, v), and the port's summary bit with its last VC. */
     static void
-    clearIfDrained(std::vector<std::uint64_t>& vc_masks,
-                   std::uint64_t& port_mask, PortId p, VcId v,
-                   bool empty)
+    clearMarked(std::vector<std::uint64_t>& vc_masks,
+                std::uint64_t& port_mask, PortId p, VcId v)
     {
-        if (!empty)
-            return;
         vc_masks[static_cast<std::size_t>(p)] &=
             ~(std::uint64_t{1} << v);
         if (vc_masks[static_cast<std::size_t>(p)] == 0)
             port_mask &= ~(std::uint64_t{1} << p);
     }
 
-    /**
-     * Visit every marked (port, VC) of one mask pair as fn(port, vc),
-     * in ascending (port, VC) order. fn may clear the bit it is given
-     * (each port's VC mask is read once, before its VCs are visited).
-     */
-    template <typename Fn>
+    /** Clear (p, v) when its buffer just drained to empty. */
     static void
-    forEachOccupied(std::uint64_t port_mask,
-                    const std::vector<std::uint64_t>& vc_masks, Fn&& fn)
+    clearIfDrained(std::vector<std::uint64_t>& vc_masks,
+                   std::uint64_t& port_mask, PortId p, VcId v,
+                   bool empty)
+    {
+        if (empty)
+            clearMarked(vc_masks, port_mask, p, v);
+    }
+
+    /**
+     * Visit fn(port, vc) for every port of port_mask and every VC of
+     * vc_mask(port), in ascending (port, VC) order. fn may clear the
+     * bit it is given (each port's VC mask is read once, before its
+     * VCs are visited).
+     */
+    template <typename MaskFn, typename Fn>
+    static void
+    forEachMarked(std::uint64_t port_mask, MaskFn&& vc_mask, Fn&& fn)
     {
         while (port_mask != 0) {
             const auto p =
                 static_cast<PortId>(std::countr_zero(port_mask));
             port_mask &= port_mask - 1;
-            std::uint64_t vm = vc_masks[static_cast<std::size_t>(p)];
+            std::uint64_t vm = vc_mask(static_cast<std::size_t>(p));
             while (vm != 0) {
                 const auto v = static_cast<VcId>(std::countr_zero(vm));
                 vm &= vm - 1;
                 fn(p, v);
             }
         }
+    }
+
+    /** Visit every marked (port, VC) of one mask pair (see
+     *  forEachMarked). */
+    template <typename Fn>
+    static void
+    forEachOccupied(std::uint64_t port_mask,
+                    const std::vector<std::uint64_t>& vc_masks, Fn&& fn)
+    {
+        forEachMarked(
+            port_mask, [&](std::size_t i) { return vc_masks[i]; },
+            std::forward<Fn>(fn));
     }
 
     /**
@@ -352,6 +413,20 @@ class Router
     {
         forEachOccupied(in_port_mask_, in_vc_mask_,
                         std::forward<Fn>(fn));
+    }
+
+    /** forEachOccupiedInput minus the parked headers, in the same
+     *  order: the VCs that may raise a crossbar request. */
+    template <typename Fn>
+    void
+    forEachUnparkedInput(Fn&& fn) const
+    {
+        forEachMarked(
+            in_port_mask_,
+            [this](std::size_t i) {
+                return in_vc_mask_[i] & ~parked_vc_mask_[i];
+            },
+            std::forward<Fn>(fn));
     }
 
     NodeId id_;
@@ -375,6 +450,18 @@ class Router
     std::vector<std::uint64_t> out_vc_mask_; //!< per out port: backlogged VCs
     std::uint64_t in_port_mask_ = 0;  //!< in ports with any occupied VC
     std::uint64_t out_port_mask_ = 0; //!< out ports with any backlog
+
+    // Blocked-header parking: parked VCs are a subset of the occupied
+    // input VCs and are skipped by the gather; a port that gains a
+    // free VC marks gained_port_mask_, and the next gather unparks
+    // every header waiting on it.
+    std::vector<std::uint64_t> parked_vc_mask_; //!< per in port
+    std::uint64_t parked_port_mask_ = 0; //!< in ports with a parked VC
+    std::uint64_t gained_port_mask_ = 0; //!< out ports that freed a VC
+
+    /** Duato's adaptive class, VCs [escapeVcs, vcsPerPort), when the
+     *  router enforces escape channels. */
+    std::uint64_t adaptive_vc_mask_ = 0;
 
     /** Ports whose link is currently down (zero when healthy — every
      *  fault check is a single mask test on the hot path). */

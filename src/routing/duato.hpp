@@ -6,10 +6,11 @@
  * an *escape* class and an *adaptive* class. Adaptive VCs may be acquired
  * toward any minimal productive port; escape VCs only along the
  * deadlock-free base routing function (dimension-order XY here). A
- * blocked header re-arbitrates every cycle over both classes, so the
- * escape network is always reachable and the extended channel dependency
- * graph stays acyclic — fully adaptive, deadlock-free, and minimal with
- * as few as 2 VCs per physical channel in a 2-D mesh.
+ * blocked header competes for both classes whenever a VC of either
+ * frees, so the escape network is always reachable and the extended
+ * channel dependency graph stays acyclic — fully adaptive,
+ * deadlock-free, and minimal with as few as 2 VCs per physical channel
+ * in a 2-D mesh.
  */
 
 #ifndef LAPSES_ROUTING_DUATO_HPP

@@ -1,13 +1,19 @@
 /**
  * @file
  * Cross-module invariant properties: credit conservation, quiescence,
- * wormhole contiguity observed end-to-end, and parameterized delivery
- * sweeps over mesh size / message length / VC count.
+ * wormhole contiguity observed end-to-end, blocked-header parking
+ * checked every cycle, and parameterized delivery sweeps over mesh
+ * size / message length / VC count.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/simulation.hpp"
+#include "topology/spec.hpp"
 
 namespace lapses
 {
@@ -52,10 +58,10 @@ TEST(Invariants, CreditsRestoredAtQuiescence)
                 continue;
             const OutputUnit& out = r.outputUnit(p);
             for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                EXPECT_EQ(out.vc(v).credits, cfg.bufferDepth)
+                EXPECT_EQ(out.vc(v).credits(), cfg.bufferDepth)
                     << "router " << n << " port " << int(p) << " vc "
                     << int(v);
-                EXPECT_FALSE(out.vc(v).busy);
+                EXPECT_FALSE(out.vc(v).busy());
             }
         }
     }
@@ -151,6 +157,86 @@ TEST(Invariants, FlitHopConservationAtQuiescence)
     }
     EXPECT_EQ(transmissions, forwards);
     EXPECT_GT(forwards, 0u);
+}
+
+TEST(Invariants, ParkedHeadersStayBlockedEveryCycle)
+{
+    // Every cycle, in every router: the output units' free/busy masks
+    // and credit totals match a recount, and every parked header still
+    // finds no allocatable VC on any live candidate (or the port that
+    // freed one is waiting to wake it at the next gather). Covers the
+    // regimes where headers block most: meta-table escape past
+    // saturation, link faults with reinjection or drop, repair,
+    // reconfiguration, torus and fat-tree.
+    std::vector<std::pair<std::string, SimConfig>> cases;
+    SimConfig base;
+    base.radices = {6, 6};
+    base.msgLen = 8;
+    base.warmupMessages = 100;
+    base.measureMessages = 100000; // the cycle budget ends the run
+
+    SimConfig cfg = base;
+    cfg.table = TableKind::MetaBlockMaximal;
+    cfg.normalizedLoad = 0.9;
+    cases.emplace_back("meta-block saturated", cfg);
+    cfg.table = TableKind::MetaRowMinimal;
+    cfg.normalizedLoad = 1.0;
+    cases.emplace_back("meta-row saturated", cfg);
+
+    cfg = base;
+    cfg.table = TableKind::Full;
+    cfg.normalizedLoad = 0.7;
+    cfg.faultCount = 3;
+    cfg.faultStart = 300;
+    cfg.faultSpacing = 400;
+    cfg.reconfigLatency = 100;
+    cases.emplace_back("faults + reinject + reconfiguration", cfg);
+    cfg.faultPolicy = FaultPolicy::Drop;
+    cfg.workload = WorkloadKind::RequestReply;
+    cfg.selector = SelectorKind::MaxCredit;
+    cases.emplace_back("request-reply + faults + drop", cfg);
+
+    cfg = base;
+    cfg.table = TableKind::MetaBlockMaximal;
+    cfg.normalizedLoad = 0.8;
+    cfg.faultEvents = {{400, 14, 1, true}, {900, 14, 1, false}};
+    cfg.reconfigLatency = 150;
+    cases.emplace_back("fail + repair", cfg);
+
+    cfg = base;
+    cfg.torus = true;
+    cfg.routing = RoutingAlgo::TorusAdaptive;
+    cfg.table = TableKind::Full;
+    cfg.normalizedLoad = 0.9;
+    cases.emplace_back("torus", cfg);
+
+    cfg = base;
+    cfg.radices = {16, 16}; // ignored: the topology spec wins
+    cfg.topology = parseTopologySpec("--topology", "fattree4x2");
+    cfg.normalizedLoad = 0.3;
+    cases.emplace_back("fat-tree", cfg);
+
+    for (const auto& [name, c] : cases) {
+        ASSERT_NO_THROW(c.validate()) << name;
+        Simulation sim(c);
+        Network& net = sim.network();
+        const int nodes = sim.topology().numNodes();
+        std::uint64_t parked_seen = 0;
+        for (Cycle t = 0; t < 2000; ++t) {
+            sim.stepCycles(1);
+            for (NodeId n = 0; n < nodes; ++n) {
+                const Router& r = net.router(n);
+                ASSERT_TRUE(r.parkingConsistentSlow())
+                    << name << ": router " << n << " at cycle "
+                    << net.now();
+                for (PortId p = 0; p < r.numPorts(); ++p) {
+                    for (VcId v = 0; v < r.numVcs(); ++v)
+                        parked_seen += r.inputVcParked(p, v) ? 1 : 0;
+                }
+            }
+        }
+        EXPECT_GT(parked_seen, 0u) << name << " never parked a header";
+    }
 }
 
 /** Parameterized delivery sweep: (mesh k, msgLen, vcs, lookahead). */

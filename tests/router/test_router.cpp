@@ -1,8 +1,8 @@
 /**
  * @file
  * Router pipeline tests: exact 5-stage (PROUD) vs 4-stage (LA-PROUD)
- * timing, wormhole streaming, credit emission, VC allocation and the
- * Duato escape discipline.
+ * timing, wormhole streaming, credit emission, VC allocation, the
+ * Duato escape discipline and blocked-header parking.
  */
 
 #include <gtest/gtest.h>
@@ -49,9 +49,16 @@ class RecordingEnv : public Router::Env
         credits.push_back({now, port, vc});
     }
 
+    void
+    headUnroutable(PortId port, VcId vc) override
+    {
+        unroutable.push_back({now, port, vc});
+    }
+
     Cycle now = 0;
     std::vector<OutFlit> flits;
     std::vector<OutCredit> credits;
+    std::vector<OutCredit> unroutable;
 };
 
 /** One router of a 2x2 mesh with Duato routing on a full table. */
@@ -77,13 +84,16 @@ class RouterHarness
     /**
      * Build a flit addressed to 'dest'. Head flits (seq 0) acquire a
      * fresh message descriptor; later flits of the same message reuse
-     * the most recent one, like a NIC streaming a wormhole.
+     * the most recent one, like a NIC streaming a wormhole, or `msg`
+     * when given.
      */
     Flit
     makeFlit(FlitType type, NodeId dest, std::uint16_t seq = 0,
-             std::uint16_t len = 1)
+             std::uint16_t len = 1, MsgRef msg = kInvalidMsgRef)
     {
-        if (seq == 0) {
+        if (msg != kInvalidMsgRef) {
+            last_msg = msg;
+        } else if (seq == 0) {
             last_msg = pool.acquire();
             MessageDescriptor& d = pool[last_msg];
             d.id = 7;
@@ -102,13 +112,15 @@ class RouterHarness
         return f;
     }
 
-    /** Step the router through cycles [from, to]. */
+    /** Step the router through cycles [from, to], checking the
+     *  blocked-header bookkeeping after every cycle. */
     void
     stepRange(Cycle from, Cycle to)
     {
         for (Cycle c = from; c <= to; ++c) {
             env.now = c;
             router->step(c, env);
+            ASSERT_TRUE(router->parkingConsistentSlow()) << "cycle " << c;
         }
     }
 
@@ -457,8 +469,8 @@ TEST(OccupiedLists, PurgeReleasesWormWithEmptyBuffers)
     const OutputVc& ovc = h.router->outputUnit(out).vc(out_vc);
     ASSERT_EQ(ivc.msg, worm);
     ASSERT_TRUE(ivc.buffer.empty());
-    ASSERT_TRUE(ovc.busy);
-    ASSERT_EQ(ovc.msg, worm);
+    ASSERT_TRUE(ovc.busy());
+    ASSERT_EQ(ovc.msg(), worm);
     ASSERT_TRUE(ovc.buffer.empty());
     EXPECT_FALSE(h.router->inputVcOccupied(kLocalPort, 0));
     EXPECT_FALSE(h.router->outputVcOccupied(out, out_vc));
@@ -475,8 +487,8 @@ TEST(OccupiedLists, PurgeReleasesWormWithEmptyBuffers)
     EXPECT_EQ(ivc.msg, kInvalidMsgRef);
     EXPECT_EQ(ivc.outPort, kInvalidPort);
     EXPECT_EQ(ivc.outVc, kInvalidVc);
-    EXPECT_FALSE(ovc.busy);
-    EXPECT_EQ(ovc.msg, kInvalidMsgRef);
+    EXPECT_FALSE(ovc.busy());
+    EXPECT_EQ(ovc.msg(), kInvalidMsgRef);
 
     EXPECT_EQ(h.router->inputUnit(2).vc(3).buffer.size(), 1u);
     EXPECT_EQ(h.router->inputUnit(2).vc(3).buffer.front().msg,
@@ -505,6 +517,123 @@ TEST(OccupiedLists, PurgeReleasesWormWithEmptyBuffers)
     EXPECT_EQ(credits, 1);
     EXPECT_TRUE(h.router->occupiedInputVcs().empty());
     EXPECT_EQ(h.router->occupancy(), 0u);
+}
+
+/**
+ * Block both VCs of port +X (2 VCs, 1-flit buffers) and park a third
+ * header bound through +X. Message A's head holds one VC and its tail
+ * waits in the output FIFO for the credit A's head consumed; B's head
+ * holds the other. C arrives on input +Y VC 0 and finds nothing.
+ */
+struct ParkedScenario
+{
+    RouterHarness h{/*lookahead=*/false, /*vcs=*/2, /*escape=*/1,
+                    /*depth=*/1};
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    const PortId py = MeshShape::port(1, Direction::Plus);
+    MsgRef a = kInvalidMsgRef;
+    MsgRef c = kInvalidMsgRef;
+    VcId a_vc = kInvalidVc; //!< +X VC held by A
+
+    ParkedScenario()
+    {
+        h.router->acceptFlit(kLocalPort, 0,
+                             h.makeFlit(FlitType::Head, 1, 0, 2), 5);
+        a = h.last_msg;
+        h.router->acceptFlit(kLocalPort, 1,
+                             h.makeFlit(FlitType::Head, 1, 0, 100), 5);
+        h.stepRange(5, 7); // A's head drains the 1-slot input buffer
+        h.router->acceptFlit(kLocalPort, 0,
+                             h.makeFlit(FlitType::Tail, 1, 1, 2, a), 8);
+        h.stepRange(8, 12);
+        EXPECT_EQ(h.env.flits.size(), 2u); // both heads, no tail
+        for (const auto& of : h.env.flits) {
+            if (of.flit.msg == a)
+                a_vc = of.vc;
+        }
+        EXPECT_EQ(h.router->outputUnit(px).freeMask(), 0u);
+        h.router->acceptFlit(py, 0, h.makeFlit(FlitType::HeadTail, 1),
+                             13);
+        c = h.last_msg;
+        h.stepRange(13, 20);
+    }
+};
+
+TEST(BlockedHeaderParking, ParksThenWakesOnTheCreditThatFreesAVc)
+{
+    ParkedScenario s;
+    RouterHarness& h = s.h;
+    ASSERT_TRUE(h.router->inputVcParked(s.py, 0));
+    ASSERT_EQ(h.env.flits.size(), 2u);
+
+    // The first credit lets A's tail leave, which releases the VC —
+    // but the tail took the credit back, so the VC is not yet
+    // allocatable and C stays parked.
+    h.router->acceptCredit(s.px, s.a_vc);
+    h.stepRange(21, 30);
+    ASSERT_EQ(h.env.flits.size(), 3u);
+    EXPECT_EQ(h.env.flits[2].flit.type, FlitType::Tail);
+    EXPECT_FALSE(h.router->outputUnit(s.px).allocatable(s.a_vc));
+    EXPECT_TRUE(h.router->inputVcParked(s.py, 0));
+
+    // The credit that drains the downstream buffer frees the VC: C
+    // wakes at the next gather and takes it.
+    h.router->acceptCredit(s.px, s.a_vc);
+    EXPECT_TRUE(h.router->outputUnit(s.px).allocatable(s.a_vc));
+    h.stepRange(31, 40);
+    EXPECT_FALSE(h.router->inputVcParked(s.py, 0));
+    ASSERT_EQ(h.env.flits.size(), 4u);
+    EXPECT_EQ(h.env.flits[3].flit.msg, s.c);
+    EXPECT_EQ(h.env.flits[3].port, s.px);
+    EXPECT_EQ(h.env.flits[3].vc, s.a_vc);
+}
+
+TEST(BlockedHeaderParking, DeadPortWakesIntoTheUnroutablePath)
+{
+    ParkedScenario s;
+    RouterHarness& h = s.h;
+    ASSERT_TRUE(h.router->inputVcParked(s.py, 0));
+    h.router->markPortDead(s.px);
+    EXPECT_FALSE(h.router->inputVcParked(s.py, 0));
+    EXPECT_TRUE(h.env.unroutable.empty());
+    h.stepRange(21, 21);
+    ASSERT_EQ(h.env.unroutable.size(), 1u);
+    EXPECT_EQ(h.env.unroutable[0].port, s.py);
+    EXPECT_EQ(h.env.unroutable[0].vc, 0);
+    EXPECT_EQ(h.router->heldUnroutableMsg(s.py, 0), s.c);
+}
+
+TEST(BlockedHeaderParking, PurgingTheMessageClearsTheParkedBit)
+{
+    ParkedScenario s;
+    RouterHarness& h = s.h;
+    ASSERT_TRUE(h.router->inputVcParked(s.py, 0));
+    int credits = 0;
+    EXPECT_EQ(h.router->purgeMessage(s.c,
+                                     [&](PortId, VcId) { ++credits; }),
+              1u);
+    EXPECT_EQ(credits, 1);
+    EXPECT_FALSE(h.router->inputVcParked(s.py, 0));
+    EXPECT_FALSE(h.router->inputVcOccupied(s.py, 0));
+    EXPECT_TRUE(h.router->parkingConsistentSlow());
+    h.stepRange(21, 30);
+}
+
+TEST(BlockedHeaderParking, RerouteWakesAndStillBlockedReparks)
+{
+    ParkedScenario s;
+    RouterHarness& h = s.h;
+    ASSERT_TRUE(h.router->inputVcParked(s.py, 0));
+    std::vector<std::pair<PortId, VcId>> unroutable;
+    std::uint64_t rerouted = 0;
+    h.router->rerouteHeldHeads(unroutable, rerouted);
+    EXPECT_FALSE(h.router->inputVcParked(s.py, 0));
+    EXPECT_TRUE(unroutable.empty());
+    EXPECT_EQ(rerouted, 0u); // same table, same route
+    // Re-evaluated next cycle, still blocked: parked again.
+    h.stepRange(21, 21);
+    EXPECT_TRUE(h.router->inputVcParked(s.py, 0));
+    EXPECT_EQ(h.env.flits.size(), 2u);
 }
 
 TEST(RouterPipelineDeath, LaHeaderWithoutRouteAborts)
