@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,10 +143,16 @@ parseCheckedDouble(const std::string& flag, const std::string& value,
     // Negated form so NaN (which compares false to both bounds) is
     // rejected too.
     if (!(v >= lo && v <= hi)) {
+        // Shortest round-trip form: 1e-09, not "0.000000"; DBL_MAX in
+        // 23 characters, not 309 digits.
+        const auto shortest = [](double x) {
+            char buf[32];
+            const auto r = std::to_chars(buf, buf + sizeof buf, x);
+            return std::string(buf, r.ptr);
+        };
         throw ConfigError("bad " + flag + " value '" + value +
-                          "' (want a number in [" +
-                          std::to_string(lo) + ", " +
-                          std::to_string(hi) + "])");
+                          "' (want a number in [" + shortest(lo) + ", " +
+                          shortest(hi) + "])");
     }
     return v;
 }

@@ -1,7 +1,10 @@
 #include "exp/campaign_cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 #include "common/assert.hpp"
 #include "core/experiment.hpp"
@@ -14,25 +17,29 @@ namespace lapses
 namespace
 {
 
-/** Parse "16x16" or "4x4x4" into radices. */
+/** Parse "16x16" or "4x4x4" into radices: every 'x'-separated field
+ *  must be a whole decimal number of at least 2. */
 std::vector<int>
 parseMesh(const std::string& spec)
 {
     std::vector<int> radices;
     std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t next = spec.find('x', pos);
-        if (next == std::string::npos)
-            next = spec.size();
-        const int k = std::atoi(spec.substr(pos, next - pos).c_str());
-        if (k < 2)
-            throw ConfigError("bad mesh spec '" + spec + "'");
+    while (true) {
+        const std::size_t next = std::min(spec.find('x', pos), spec.size());
+        const char* first = spec.data() + pos;
+        const char* last = spec.data() + next;
+        int k = 0;
+        const auto [end, ec] = std::from_chars(first, last, k);
+        if (first == last || ec != std::errc{} || end != last || k < 2) {
+            throw ConfigError("bad --mesh value '" + spec +
+                              "' (want radices of at least 2 joined by "
+                              "'x', e.g. 16x16)");
+        }
         radices.push_back(k);
+        if (next == spec.size())
+            return radices;
         pos = next + 1;
     }
-    if (radices.empty())
-        throw ConfigError("bad mesh spec '" + spec + "'");
-    return radices;
 }
 
 /** The value argument of argv[i], advancing i past it. */

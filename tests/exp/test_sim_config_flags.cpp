@@ -57,7 +57,7 @@ flagCases()
          [](const SimConfig& c) {
              return c.radices == std::vector<int>{4, 4, 4};
          },
-         "1x4", "mesh spec"},
+         "1x4", "--mesh"},
         {"--torus", "",
          [](const SimConfig& c) { return c.torus; }, nullptr, nullptr},
         {"--topology", "fattree4x2",
@@ -225,6 +225,50 @@ TEST(SimConfigFlags, BadOrMissingValuesNameTheFlag)
                       "missing value for " + std::string(c.flag));
         }
     }
+}
+
+TEST(SimConfigFlags, MeshRadicesParseStrictly)
+{
+    for (const char* bad :
+         {"8q8", "8x8junk", "8x", "x8", "", "8xx8", "8x-8", "8x+8",
+          " 8x8", "8x8 ", "99999999999x2"}) {
+        SimConfig cfg;
+        int advanced = 0;
+        try {
+            applyFlag(cfg, {"--mesh", bad}, advanced);
+            ADD_FAILURE() << "accepted --mesh '" << bad << "'";
+        } catch (const ConfigError& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "bad --mesh value '" + std::string(bad) +
+                          "' (want radices of at least 2 joined by 'x', "
+                          "e.g. 16x16)");
+        }
+    }
+    SimConfig cfg;
+    int advanced = 0;
+    ASSERT_TRUE(applyFlag(cfg, {"--mesh", "8"}, advanced));
+    EXPECT_EQ(cfg.radices, std::vector<int>{8});
+    ASSERT_TRUE(applyFlag(cfg, {"--mesh", "16x2x3"}, advanced));
+    EXPECT_EQ(cfg.radices, (std::vector<int>{16, 2, 3}));
+}
+
+TEST(SimConfigFlags, NumberBoundsPrintInShortestForm)
+{
+    const auto message = [](const char* flag, const char* value) {
+        SimConfig cfg;
+        int advanced = 0;
+        try {
+            applyFlag(cfg, {flag, value}, advanced);
+        } catch (const ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message("--load", "0"),
+              "bad --load value '0' (want a number in [1e-09, "
+              "1.7976931348623157e+308])");
+    EXPECT_EQ(message("--hotspot-frac", "1.5"),
+              "bad --hotspot-frac value '1.5' (want a number in [0, 1])");
 }
 
 TEST(SimConfigFlags, ToolOwnedFlagsAreNotConsumed)
