@@ -246,12 +246,16 @@ Router::serveCrossbar(Cycle now, Env& env)
     // the occupied list iterates them in the same ascending (port, VC)
     // order the full sweep used, so arbitration is unchanged. Parked
     // headers would find every candidate blocked again, so they are
-    // skipped; the others keep their relative order.
+    // skipped; the others keep their relative order. Header decode
+    // shares the pass: it reads and writes only its own VC, so
+    // decoding each VC just before its gather equals decoding all
+    // first, and a parked header has nothing left to decode.
     wakeGainedHeaders();
     std::uint64_t req_ports = 0;
     std::uint64_t raised = 0;
     std::uint64_t granted = 0;
     forEachUnparkedInput([&](PortId ip, VcId v) {
+        advanceHeaderState(ip, v, now);
         const PortId req = gatherRequest(ip, v, now, env);
         pending_request_[static_cast<std::size_t>(
             requesterIndex(ip, v))] = req;
@@ -633,9 +637,6 @@ Router::step(Cycle now, Env& env)
                     out_vc_mask_[static_cast<std::size_t>(p)]));
         }
     }
-    // Parked headers are in WaitArb already: nothing to advance.
-    forEachUnparkedInput(
-        [&](PortId ip, VcId v) { advanceHeaderState(ip, v, now); });
     serveCrossbar(now, env);
     serveVcMux(now, env);
 
