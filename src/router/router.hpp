@@ -405,7 +405,8 @@ class Router
      * (port, VC) order. That order is load-bearing: it is the order
      * the old exhaustive sweeps raised arbitration requests in, and
      * changing it would silently change grant outcomes — keep the
-     * iteration in this one place.
+     * iteration in forEachMarked, which this and
+     * forEachUnparkedInput share.
      */
     template <typename Fn>
     void
