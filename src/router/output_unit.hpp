@@ -101,9 +101,6 @@ class OutputUnit
         return vcs_[static_cast<std::size_t>(v)];
     }
 
-    /** Ejection ports never wait for credits. */
-    bool hasInfiniteCredits() const { return infinite_credits_; }
-
     /** Credits available for transmitting on VC v. */
     bool
     canTransmit(VcId v) const

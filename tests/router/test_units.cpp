@@ -93,7 +93,6 @@ TEST(OutputUnit, EjectionPortIgnoresCredits)
     out.acquire(0, 1);
     out.consumeCredit(0); // no-op: the NIC sink never backpressures
     EXPECT_EQ(out.vc(0).credits(), 20);
-    EXPECT_TRUE(out.hasInfiniteCredits());
     EXPECT_TRUE(out.canTransmit(0));
     EXPECT_TRUE(out.release(0));
     EXPECT_TRUE(out.allocatable(0));
